@@ -2,30 +2,24 @@
 
 Counts cover trainable parameters only: cell weights and biases, combiner
 weights and biases, head projection and biases, and CRF transitions.  The
-frozen embedding table is excluded.  Counting walks the same shape rules
-the model builder uses, so counts and instantiated models cannot drift
-apart.
+frozen embedding table is excluded.  A composite layer is counted from
+NorTopology.plan, the same shape plan NorLayer builds from, and every cell
+from the gate vocabulary in cells.GATE_NAMES that allocates its matrices,
+so counts and instantiated models cannot drift apart.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .nor import (NorTopology, gate_topology, ma2_topology,
-                  ma_topology, ms_topology, ss_topology)
+from .cells import GATE_NAMES
+from .nor import LAYER_KINDS, NorTopology
 
 __all__ = [
     "LayerSpec", "HeadSpec", "ModelConfig", "BudgetError",
     "layer_topology", "count_params", "solve_hidden_size", "emit_sizing_table",
 ]
-
-CELL_KINDS = ("simple", "gru", "lstm")
-COMPOSITE_KINDS = ("parallel", "parallel2", "mixed", "shared", "gated")
-
-_GATES = {"simple": 1, "gate": 1, "gru": 3, "lstm": 4}
-
-# default subnetwork counts for the composite layer kinds
-_DEFAULT_N = {"parallel": 3, "parallel2": 3, "mixed": (2, 2), "shared": 3, "gated": 3}
 
 
 class BudgetError(ValueError):
@@ -46,15 +40,11 @@ class LayerSpec:
     wiring: str = "tier1_own"
 
     def __post_init__(self):
-        if self.kind not in CELL_KINDS + COMPOSITE_KINDS:
+        entry = LAYER_KINDS.get(self.kind)
+        if entry is None:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind in CELL_KINDS and self.n is not None:
+        if entry.topology is None and self.n is not None:
             raise ValueError(f"layer kind {self.kind!r} takes no subnetwork count")
-
-    def resolved_n(self):
-        if self.kind in CELL_KINDS:
-            return None
-        return self.n if self.n is not None else _DEFAULT_N[self.kind]
 
 
 @dataclass(frozen=True)
@@ -98,52 +88,16 @@ class ModelConfig:
 
 def layer_topology(spec: LayerSpec, hidden: int) -> NorTopology | None:
     """Topology object for a composite layer spec; None for plain cells."""
-    if spec.kind in CELL_KINDS:
+    entry = LAYER_KINDS[spec.kind]
+    if entry.topology is None:
         return None
-    n = spec.resolved_n()
-    if spec.kind == "parallel":
-        return ma_topology(n, hidden)
-    if spec.kind == "parallel2":
-        return ma2_topology(n, hidden, wiring=spec.wiring)
-    if spec.kind == "mixed":
-        if not (isinstance(n, tuple) and len(n) == 2):
-            raise ValueError("mixed layers take n as a (one_tier, two_tier) pair")
-        return ms_topology(n[0], n[1], hidden)
-    if spec.kind == "shared":
-        return ss_topology(n, hidden)
-    return gate_topology(n, hidden)
+    n = entry.default_n if spec.n is None else spec.n
+    return entry.topology(n, hidden, spec.wiring)
 
 
-def _cell_cost(kind: str, input_dim: int, hidden: int) -> int:
-    return _GATES[kind] * (input_dim * hidden + hidden * hidden + hidden)
-
-
-def _topology_cost(topo: NorTopology, input_dim: int) -> int:
-    total = 0
-    for spec in topo.subnetworks:
-        kind1, h1 = spec.tiers[0]
-        total += _cell_cost(kind1, input_dim, h1)
-        if len(spec.tiers) == 2:
-            kind2, h2 = spec.tiers[1]
-            if spec.wiring == "tier1_own":
-                d2 = h1
-            elif spec.wiring == "layer_input":
-                d2 = input_dim
-            else:
-                d2 = sum(s.tiers[0][1] for s in topo.subnetworks)
-            total += _cell_cost(kind2, d2, h2)
-    if topo.kind == "gated":
-        concat_dim = sum(s.tiers[-1][1] for s in topo.subnetworks[0::2])
-    else:
-        concat_dim = sum(s.tiers[-1][1] for s in topo.subnetworks)
-    total += topo.combiner_out_dim * concat_dim + topo.combiner_out_dim
-    return total
-
-
-def _layer_cost(spec: LayerSpec, input_dim: int, hidden: int) -> int:
-    if spec.kind in CELL_KINDS:
-        return _cell_cost(spec.kind, input_dim, hidden)
-    return _topology_cost(layer_topology(spec, hidden), input_dim)
+def _cell_count(kind: str, input_dim: int, hidden: int) -> int:
+    # input matrix, recurrent matrix and bias for each gate
+    return len(GATE_NAMES[kind]) * (input_dim * hidden + hidden * hidden + hidden)
 
 
 def count_params(config: ModelConfig, hidden: int | None = None) -> int:
@@ -151,22 +105,23 @@ def count_params(config: ModelConfig, hidden: int | None = None) -> int:
     h = config.hidden if hidden is None else hidden
     if h is None:
         raise ValueError("no hidden size: set config.hidden or pass hidden=")
-    if h < 0:
-        raise ValueError("hidden size cannot be negative")
+    if h < 1:
+        raise ValueError(f"hidden size must be positive, got {h}")
+    directions = 2 if config.bidirectional else 1
     total = 0
     d = config.input_dim
     for spec in config.layers:
-        if h == 0:
-            # degenerate but well-defined: a zero-width layer holds nothing
-            d = 0
-            continue
-        per_direction = _layer_cost(spec, d, h)
-        if config.bidirectional:
-            total += 2 * per_direction
-            d = 2 * h
+        topo = layer_topology(spec, h)
+        if topo is None:
+            layer = _cell_count(spec.kind, d, h)
         else:
-            total += per_direction
-            d = h
+            cells, combiner_in = topo.plan(d)
+            layer = topo.combiner_out_dim * (combiner_in + 1)
+            for tiers in cells:
+                for cell in tiers:
+                    layer += _cell_count(*cell)
+        total += directions * layer
+        d = directions * h
     k = config.head.classes
     total += k * d + k
     if config.head.kind == "crf":
@@ -178,29 +133,38 @@ def solve_hidden_size(config: ModelConfig, budget: int, tolerance: int | None = 
     """Hidden size whose exact count lands nearest the budget.
 
     The count is strictly increasing in h, so the solver bisects for the
-    first h at or above the budget and compares it with its predecessor;
-    exact ties prefer the smaller h.  A budget below the h=1 count is an
+    first h at or above the budget and compares it with its predecessor,
+    counting each h once; exact ties prefer the smaller h.  A budget below the h=1 count is an
     error.  When tolerance is given, the winning count must land within
     it or a BudgetError is raised.
     """
-    if budget < count_params(config, 1):
-        raise BudgetError(f"budget {budget} below minimum {count_params(config, 1)} (h=1)")
-    lo, hi = 1, 2
-    while count_params(config, hi) < budget:
+    counts: dict[int, int] = {}
+
+    def count(h: int) -> int:
+        if h not in counts:
+            counts[h] = count_params(config, h)
+        return counts[h]
+
+    if budget < count(1):
+        raise BudgetError(f"budget {budget} below minimum {count(1)} (h=1)")
+    # every layer holds an h x h recurrent matrix, so the count at h exceeds
+    # h^2 and this first bracket holds; doubling covers any case where not
+    lo, hi = 1, math.isqrt(budget) + 1
+    while count(hi) < budget:
         lo, hi = hi, hi * 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if count_params(config, mid) < budget:
+        if count(mid) < budget:
             lo = mid + 1
         else:
             hi = mid
     above = lo
     candidates = [above] if above == 1 else [above - 1, above]
-    best = min(candidates, key=lambda h: (abs(count_params(config, h) - budget), h))
-    if tolerance is not None and abs(count_params(config, best) - budget) > tolerance:
+    best = min(candidates, key=lambda h: (abs(count(h) - budget), h))
+    if tolerance is not None and abs(count(best) - budget) > tolerance:
         raise BudgetError(
             f"no hidden size lands within {tolerance} of {budget}; "
-            f"closest is h={best} with {count_params(config, best)}")
+            f"closest is h={best} with {count(best)}")
     return best
 
 

@@ -18,13 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .budget import BudgetError, HeadSpec, ModelConfig, count_params, solve_hidden_size
-from .data import (CorpusError, CorpusSplits, load_classification_corpus,
+from .budget import (BudgetError, HeadSpec, LayerSpec, ModelConfig, count_params,
+                     solve_hidden_size)
+from .data import (CorpusError, CorpusSplits, Vocabulary, load_classification_corpus,
                    load_conll, load_embeddings, random_embeddings)
-from .models import build_model, load_checkpoint, save_checkpoint
-from .nor import unroll
+from .models import CellLayer, _make_layer, build_model, load_checkpoint, save_checkpoint
+from .nor import LAYER_KINDS, unroll
 from .tensor import Tensor, add, concat, grad_check, reduce_sum
-from .training import NumericError, TrainConfig, train, write_metric_log
+from .training import NumericError, TrainConfig, _crop, train, write_metric_log
 
 __all__ = ["main", "entry"]
 
@@ -54,7 +55,7 @@ class RunSettings:
     model: ModelConfig
     train: TrainConfig
     fmt: str
-    train_path: str
+    train_path: str | None
     dev_path: str | None
     test_path: str | None
     embeddings_path: str | None
@@ -64,21 +65,26 @@ class RunSettings:
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+            return _parse_ini(fh.read(), path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _parse_ini(text: str, source) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(text, source=str(source))
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{source}: {exc}") from exc
     known = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "data": _DATA_KEYS}
     for section in parser.sections():
         if section not in known:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"{source}: unknown section [{section}]")
         for key in parser[section]:
             if key not in known[section]:
-                raise ConfigError(f"{path}: unknown key {section}.{key}")
+                raise ConfigError(f"{source}: unknown key {section}.{key}")
     return parser
 
 
@@ -98,7 +104,10 @@ def _get(parser, section, key, cast, default=None):
 
 def resolve_run(config_path, overrides: dict) -> RunSettings:
     """Merge config file, preset defaults and CLI overrides into one plan."""
-    parser = _read_ini(config_path)
+    return _resolve(_read_ini(config_path), overrides)
+
+
+def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
     task = overrides.get("task") or _get(parser, "model", "task", str)
     if task is None:
         raise ConfigError("no task preset: set model.task or pass --task")
@@ -143,12 +152,9 @@ def resolve_run(config_path, overrides: dict) -> RunSettings:
         raise ConfigError(str(exc)) from exc
 
     fmt = _get(parser, "data", "format", str, presets.TASKS[task]["fmt"])
-    train_path = overrides.get("train") or _get(parser, "data", "train", str)
-    if train_path is None:
-        raise ConfigError("no training data: set data.train or pass --train")
     return RunSettings(
         task=task, topology=topology, model=model, train=train_cfg, fmt=fmt,
-        train_path=train_path,
+        train_path=overrides.get("train") or _get(parser, "data", "train", str),
         dev_path=overrides.get("dev") or _get(parser, "data", "dev", str),
         test_path=overrides.get("test") or _get(parser, "data", "test", str),
         embeddings_path=_get(parser, "data", "embeddings", str),
@@ -192,33 +198,37 @@ def echo_config(run: RunSettings, pad_length: int | None = None) -> str:
 # --- data assembly ---------------------------------------------------------
 
 
+def _load_corpus(run: RunSettings, path, vocab=None, names=None):
+    """One data file in the run's format.  Files after the training split
+    pass its vocabulary and label/tag table."""
+    if run.fmt == "conll":
+        return load_conll(path, vocab=vocab, tag_names=names)
+    return load_classification_corpus(path, run.fmt, lowercase=run.lowercase,
+                                      vocab=vocab, label_names=names)
+
+
 def _load_task_data(run: RunSettings):
     """Load train/dev/test with a shared vocabulary and label/tag table.
 
     Without a dev path, a deterministic tenth of the training data is held
     out (every 10th example, offset by the seed).
     """
-    if run.fmt == "conll":
-        train_corpus = load_conll(run.train_path)
-        vocab, names = train_corpus.vocab, train_corpus.tag_names
-        load_more = lambda p: load_conll(p, vocab=vocab, tag_names=names)
-    else:
-        train_corpus = load_classification_corpus(run.train_path, run.fmt,
-                                                  lowercase=run.lowercase)
-        vocab, names = train_corpus.vocab, train_corpus.label_names
-        load_more = lambda p: load_classification_corpus(
-            p, run.fmt, lowercase=run.lowercase, vocab=vocab, label_names=names)
+    if run.train_path is None:
+        raise ConfigError("no training data: set data.train or pass --train")
+    train_corpus = _load_corpus(run, run.train_path)
+    vocab = train_corpus.vocab
+    names = train_corpus.tag_names if run.fmt == "conll" else train_corpus.label_names
 
     train_ex = train_corpus.examples()
     if run.dev_path:
-        dev_ex = load_more(run.dev_path).examples()
+        dev_ex = _load_corpus(run, run.dev_path, vocab, names).examples()
     else:
         off = run.train.seed % 10
         dev_ex = [ex for i, ex in enumerate(train_ex) if i % 10 == off]
         train_ex = [ex for i, ex in enumerate(train_ex) if i % 10 != off]
         if not dev_ex or not train_ex:
             raise CorpusError("training corpus too small to hold out a dev split")
-    test_ex = load_more(run.test_path).examples() if run.test_path else None
+    test_ex = _load_corpus(run, run.test_path, vocab, names).examples() if run.test_path else None
 
     if len(names) != run.model.head.classes:
         raise ConfigError(
@@ -256,7 +266,6 @@ def _run_training(run: RunSettings, out_dir: Path, quiet=False):
               f"  best dev metric {result.best_metric:.4f}")
     test_metric = None
     if corpus.test:
-        from .training import _crop
         test_metric = model.evaluate([_crop(ex, result.pad_length) for ex in corpus.test])
         if not quiet:
             print(f"test metric {test_metric:.4f}")
@@ -278,38 +287,17 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    parser = configparser.ConfigParser()
-    parser.read_string(ckpt.config_text)
-    task = parser["model"]["task"]
-    topology = parser["model"]["topology"]
-    hidden = int(parser["model"]["hidden"])
-    classes = int(parser["model"]["classes"])
-    dim = int(parser["data"]["embedding_dim"])
-    fmt = parser["data"]["format"]
-    lowercase = parser["data"].get("lowercase", "true") == "true"
-    pad_length = int(parser["train"].get("pad_length", "0")) or None
-
-    base = presets.model_config(task, topology)
-    model_cfg = ModelConfig(input_dim=dim, layers=base.layers,
-                            head=HeadSpec(base.head.kind, classes),
-                            bidirectional=base.bidirectional, hidden=hidden)
-    from .data import Vocabulary
-    vocab = Vocabulary(tokens=list(ckpt.vocab_tokens))
-    table = ckpt.arrays["embedding"]
-    model = build_model(model_cfg, table, ckpt.names, np.random.default_rng(0))
+    run = _resolve(_parse_ini(ckpt.config_text, args.checkpoint), {})
+    model = build_model(run.model, ckpt.arrays["embedding"], ckpt.names,
+                        np.random.default_rng(0))
     model.load_state(ckpt.arrays)
 
-    if fmt == "conll":
-        corpus = load_conll(args.data, vocab=vocab, tag_names=ckpt.names)
-    else:
-        corpus = load_classification_corpus(args.data, fmt, lowercase=lowercase,
-                                            vocab=vocab, label_names=ckpt.names)
-    examples = corpus.examples()
-    if pad_length:
-        from .training import _crop
-        examples = [_crop(ex, pad_length) for ex in examples]
+    vocab = Vocabulary(tokens=list(ckpt.vocab_tokens))
+    examples = _load_corpus(run, args.data, vocab, ckpt.names).examples()
+    if run.train.pad_length:
+        examples = [_crop(ex, run.train.pad_length) for ex in examples]
     metric = model.evaluate(examples)
-    kind = "entity_f1" if fmt == "conll" else "accuracy"
+    kind = "entity_f1" if run.fmt == "conll" else "accuracy"
     print(f"{kind} {metric:.6f}  ({len(examples)} examples)")
     return EXIT_OK
 
@@ -331,13 +319,14 @@ def cmd_budget(args) -> int:
     return EXIT_OK
 
 
+_GRADCHECK_KINDS = "|".join([*presets.TOPOLOGY_ALIASES, "softmax", "crf"])
+
+
 def _gradcheck_scenario(kind: str, input_dim: int, hidden: int, steps: int,
                         rng: np.random.Generator):
     """A small randomized loss over one layer or head, plus its parameters."""
-    from .budget import LayerSpec
     from .heads import crf_neg_log_likelihood, new_crf_head, new_softmax_head, \
         softmax_cross_entropy
-    from .models import CellLayer, _make_layer
 
     if kind == "softmax":
         head = new_softmax_head(input_dim, max(hidden, 2), rng)
@@ -352,13 +341,12 @@ def _gradcheck_scenario(kind: str, input_dim: int, hidden: int, steps: int,
             return crf_neg_log_likelihood(concat(rows, axis=0), tags, head)
         return crf_loss, head.named()
 
-    alias = presets.TOPOLOGY_ALIASES.get(kind, kind)
-    if alias in ("simple", "gate", "gru", "lstm"):
-        layer = CellLayer(alias, input_dim, hidden, rng)
-        params = layer.named_parameters("cell")
-    else:
-        layer = _make_layer(LayerSpec(kind=alias), input_dim, hidden, rng)
-        params = layer.named_parameters("layer")
+    layer_kind = presets.TOPOLOGY_ALIASES.get(kind, kind)
+    if layer_kind not in LAYER_KINDS:
+        raise ConfigError(f"unknown gradcheck kind {kind!r}; choose from "
+                          f"{_GRADCHECK_KINDS} or a layer kind")
+    layer = _make_layer(LayerSpec(kind=layer_kind), input_dim, hidden, rng)
+    params = layer.named_parameters("cell" if isinstance(layer, CellLayer) else "layer")
     # keep the loss surface away from relu kinks: moderate random weights
     for p in params.values():
         p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
@@ -455,8 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("gradcheck", help="verify tape gradients against finite differences")
-    p.add_argument("--kind", default="ma",
-                   help="irnn|gru|lstm|ma|ma2|ms|ss|gate|softmax|crf")
+    p.add_argument("--kind", default="ma", help=_GRADCHECK_KINDS)
     p.add_argument("--input-dim", type=int, default=4, dest="input_dim")
     p.add_argument("--hidden", type=int, default=4)
     p.add_argument("--steps", type=int, default=3)

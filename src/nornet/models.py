@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import CELL_KINDS, ModelConfig, layer_topology
+from .budget import ModelConfig, layer_topology
 from .cells import CellState, cell_step, new_cell_params, zero_state
 from .heads import (crf_neg_log_likelihood, crf_viterbi_decode,
                     max_pool_over_time, new_crf_head, new_softmax_head,
@@ -48,9 +48,10 @@ class CellLayer:
 
 
 def _make_layer(spec, input_dim: int, hidden: int, rng: np.random.Generator):
-    if spec.kind in CELL_KINDS:
+    topology = layer_topology(spec, hidden)
+    if topology is None:
         return CellLayer(spec.kind, input_dim, hidden, rng)
-    return NorLayer(layer_topology(spec, hidden), input_dim, rng)
+    return NorLayer(topology, input_dim, rng)
 
 
 class _UniStack:

@@ -10,6 +10,10 @@ A layer is described by a topology:
   gated       pairs of (sigmoid gate, relu generalization) cells combined
               by elementwise product
 
+LAYER_KINDS is the one registry of layer kinds: these five plus the plain
+cells, each with its short name, default subnetwork count and topology
+factory.
+
 Each recurrent neuron keeps its own memory vector: the output it produced on
 the previous step.  The combiner is o = relu(W [s_1; ...; s_m] + b) over the
 subnetwork outputs.
@@ -18,6 +22,7 @@ subnetwork outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,14 +30,10 @@ from .cells import CellParams, CellState, cell_step, new_cell_params
 from .tensor import Tensor, add, concat, elementwise_mul, matmul, relu
 
 __all__ = [
-    "SubnetSpec", "NorTopology", "NorLayer", "NorState",
+    "SubnetSpec", "NorTopology", "NorLayer", "LayerKind", "LAYER_KINDS",
     "ma_topology", "ma2_topology", "ms_topology", "ss_topology", "gate_topology",
-    "component_i_copy", "component_o_combine",
-    "ma_nor_step", "ma2_nor_step", "ms_nor_step", "ss_nor_step", "gate_nor_step",
-    "unroll", "bidirectional_wrap",
+    "component_o_combine", "unroll", "bidirectional_wrap",
 ]
-
-TOPOLOGY_KINDS = ("parallel", "parallel2", "mixed", "shared", "gated")
 
 # tier-2 input wiring choices
 WIRINGS = ("tier1_own", "tier1_all", "layer_input")
@@ -66,7 +67,8 @@ class NorTopology:
     combiner_out_dim: int
 
     def __post_init__(self):
-        if self.kind not in TOPOLOGY_KINDS:
+        entry = LAYER_KINDS.get(self.kind)
+        if entry is None or entry.topology is None:
             raise ValueError(f"unknown topology kind {self.kind!r}")
         if not self.subnetworks:
             raise ValueError("topology needs at least one subnetwork")
@@ -98,11 +100,29 @@ class NorTopology:
     def n_subnetworks(self) -> int:
         return len(self.subnetworks)
 
-    def combiner_inputs(self) -> int:
-        """Number of vectors the combiner concatenates."""
-        if self.kind == "gated":
-            return len(self.subnetworks) // 2
-        return len(self.subnetworks)
+    def plan(self, input_dim: int) -> tuple[list[list[tuple[str, int, int]]], int]:
+        """Parameter shapes at a layer input width.
+
+        Returns (cell kind, input width, hidden) for every tier of every
+        subnetwork, and the width of the vector the combiner reads: one
+        block per subnetwork, or one per pair for the gated topology.  The
+        layer builder and the parameter counter both read this plan.
+        """
+        subs = self.subnetworks
+        # tier 2 reads the layer input, every tier-1 output, or (tier1_own)
+        # its own tier 1
+        tier2_inputs = {"layer_input": input_dim,
+                        "tier1_all": sum([s.tiers[0][1] for s in subs])}
+        cells = []
+        for s in subs:
+            kind, hidden = s.tiers[0]
+            tiers = [(kind, input_dim, hidden)]
+            if len(s.tiers) == 2:
+                kind2, hidden2 = s.tiers[1]
+                tiers.append((kind2, tier2_inputs.get(s.wiring, hidden), hidden2))
+            cells.append(tiers)
+        merged = subs[0::2] if self.kind == "gated" else subs
+        return cells, sum([s.tiers[-1][1] for s in merged])
 
 
 def _uniform(kind, n, hidden, tiers, wiring="tier1_own", out_dim=None):
@@ -157,15 +177,35 @@ def gate_topology(pairs: int, hidden: int, out_dim: int | None = None) -> NorTop
                        combiner_out_dim=hidden if out_dim is None else out_dim)
 
 
-# layer state: one memory per recurrent neuron, [subnet][tier]
-NorState = list
+def _mixed_topology(n, hidden: int, wiring: str) -> NorTopology:
+    if not (isinstance(n, tuple) and len(n) == 2):
+        raise ValueError("mixed layers take n as a (one_tier, two_tier) pair")
+    return ms_topology(n[0], n[1], hidden)
 
 
-def component_i_copy(x: Tensor, n: int) -> list[Tensor]:
-    """Input component: hand the same input tensor to each of n subnetworks."""
-    if n < 1:
-        raise ValueError("need at least one subnetwork")
-    return [x] * n
+@dataclass(frozen=True)
+class LayerKind:
+    """One layer kind: its name, the short name presets and the command line
+    use, its default subnetwork count (a pair for "mixed", the pair count for
+    "gated"), and its topology factory (n, hidden, wiring) -> NorTopology.
+    Plain cells have neither a count nor a factory."""
+
+    kind: str
+    alias: str
+    default_n: int | tuple[int, int] | None = None
+    topology: Callable[..., NorTopology] | None = None
+
+
+LAYER_KINDS = {e.kind: e for e in (
+    LayerKind("simple", "irnn"),
+    LayerKind("gru", "gru"),
+    LayerKind("lstm", "lstm"),
+    LayerKind("parallel", "ma", 3, lambda n, hidden, wiring: ma_topology(n, hidden)),
+    LayerKind("parallel2", "ma2", 3, lambda n, hidden, wiring: ma2_topology(n, hidden, wiring)),
+    LayerKind("mixed", "ms", (2, 2), _mixed_topology),
+    LayerKind("shared", "ss", 3, lambda n, hidden, wiring: ss_topology(n, hidden)),
+    LayerKind("gated", "gate", 3, lambda n, hidden, wiring: gate_topology(n, hidden)),
+)}
 
 
 def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
@@ -201,59 +241,34 @@ class NorLayer:
         self.topology = topology
         self.input_dim = input_dim
         self.out_dim = topology.combiner_out_dim
-        self.cells: list[list[CellParams]] = []
-        for spec in topology.subnetworks:
-            tiers = []
-            for ti, (kind, hidden) in enumerate(spec.tiers):
-                d = input_dim if ti == 0 else self._tier2_input_dim(spec, topology)
-                tiers.append(new_cell_params(kind, d, hidden, rng))
-            self.cells.append(tiers)
-        m = topology.combiner_inputs()
-        concat_dim = sum(self._subnet_out_dim(s) for s in self._merge_specs())
-        assert len(self._merge_specs()) == m
+        cells, concat_dim = topology.plan(input_dim)
+        self.cells: list[list[CellParams]] = [
+            [new_cell_params(kind, d, hidden, rng) for kind, d, hidden in tiers]
+            for tiers in cells]
         h_out = topology.combiner_out_dim
         lim = np.sqrt(6.0 / (concat_dim + h_out))
         self.w_mlp = Tensor(rng.uniform(-lim, lim, size=(h_out, concat_dim)))
         self.b_mlp = Tensor(np.zeros(h_out))
 
-    def _merge_specs(self):
-        # the vectors the combiner sees: one per subnetwork, or one per pair
-        # for the gated topology
-        if self.topology.kind == "gated":
-            return self.topology.subnetworks[0::2]
-        return self.topology.subnetworks
-
-    @staticmethod
-    def _subnet_out_dim(spec: SubnetSpec) -> int:
-        return spec.tiers[-1][1]
-
-    def _tier2_input_dim(self, spec: SubnetSpec, topology: NorTopology) -> int:
-        if spec.wiring == "tier1_own":
-            return spec.tiers[0][1]
-        if spec.wiring == "layer_input":
-            return self.input_dim
-        # tier1_all: concat of every subnetwork's tier-1 output
-        return sum(s.tiers[0][1] for s in topology.subnetworks)
-
-    def initial_state(self) -> NorState:
+    def initial_state(self) -> list[list[Tensor]]:
+        """One memory per recurrent neuron, indexed [subnetwork][tier]."""
         return [[Tensor(np.zeros(hidden)) for _, hidden in spec.tiers]
                 for spec in self.topology.subnetworks]
 
-    def step(self, x: Tensor, state: NorState) -> tuple[Tensor, NorState]:
+    def step(self, x: Tensor, state: list) -> tuple[Tensor, list]:
         if x.data.shape != (self.input_dim,):
             raise ValueError(f"layer expects input shape ({self.input_dim},), got {x.data.shape}")
         topo = self.topology
-        n = topo.n_subnetworks
-        xs = component_i_copy(x, n)
 
-        # tier 1 everywhere first, so shared wiring can see every output
+        # tier 1 everywhere first, so shared wiring can see every output;
+        # every subnetwork reads the same input tensor
         tier1 = []
-        for i in range(n):
-            st = cell_step(xs[i], CellState(h=state[i][0]), self.cells[i][0])
+        for i in range(topo.n_subnetworks):
+            st = cell_step(x, CellState(h=state[i][0]), self.cells[i][0])
             tier1.append(st.h)
 
         outs = []
-        new_state: NorState = []
+        new_state = []
         for i, spec in enumerate(topo.subnetworks):
             mem = [tier1[i]]
             top = tier1[i]
@@ -261,7 +276,7 @@ class NorLayer:
                 if spec.wiring == "tier1_own":
                     feed = tier1[i]
                 elif spec.wiring == "layer_input":
-                    feed = xs[i]
+                    feed = x
                 else:
                     feed = concat(tier1)
                 st2 = cell_step(feed, CellState(h=state[i][1]), self.cells[i][1])
@@ -284,32 +299,6 @@ class NorLayer:
         out[f"{prefix}.combiner.w"] = self.w_mlp
         out[f"{prefix}.combiner.b"] = self.b_mlp
         return out
-
-
-def _checked_step(layer: NorLayer, kind: str, x, state):
-    if layer.topology.kind != kind:
-        raise ValueError(f"layer topology is {layer.topology.kind!r}, expected {kind!r}")
-    return layer.step(x, state)
-
-
-def ma_nor_step(x: Tensor, state: NorState, layer: NorLayer):
-    return _checked_step(layer, "parallel", x, state)
-
-
-def ma2_nor_step(x: Tensor, state: NorState, layer: NorLayer):
-    return _checked_step(layer, "parallel2", x, state)
-
-
-def ms_nor_step(x: Tensor, state: NorState, layer: NorLayer):
-    return _checked_step(layer, "mixed", x, state)
-
-
-def ss_nor_step(x: Tensor, state: NorState, layer: NorLayer):
-    return _checked_step(layer, "shared", x, state)
-
-
-def gate_nor_step(x: Tensor, state: NorState, layer: NorLayer):
-    return _checked_step(layer, "gated", x, state)
 
 
 def unroll(layer, inputs: list[Tensor], state=None):

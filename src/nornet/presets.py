@@ -9,6 +9,7 @@ with 9 chunk tags (conll).
 from __future__ import annotations
 
 from .budget import HeadSpec, LayerSpec, ModelConfig
+from .nor import LAYER_KINDS
 from .training import TrainConfig
 
 __all__ = [
@@ -17,16 +18,7 @@ __all__ = [
 ]
 
 # short names used by the command line and the sizing table
-TOPOLOGY_ALIASES = {
-    "irnn": "simple",
-    "gru": "gru",
-    "lstm": "lstm",
-    "ma": "parallel",
-    "ma2": "parallel2",
-    "ms": "mixed",
-    "ss": "shared",
-    "gate": "gated",
-}
+TOPOLOGY_ALIASES = {entry.alias: entry.kind for entry in LAYER_KINDS.values()}
 
 STANDARD_TOPOLOGIES = ("irnn", "gru", "lstm", "ma", "ms", "ss", "gate")
 

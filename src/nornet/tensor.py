@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "Tape", "ShapeError", "backward", "grad_check", "GradCheckReport",
+    "Tensor", "Tape", "ShapeError", "grad_check", "GradCheckReport",
     "add", "sub", "neg", "scale", "elementwise_mul", "matmul", "maximum",
     "relu", "sigmoid", "tanh", "concat", "reshape", "softmax_rows",
     "log_sum_exp", "reduce_sum",
@@ -161,10 +161,6 @@ class Tape:
         if t._tape is self and t.node_id is not None and t.node_id in self.gradients:
             return self.gradients[t.node_id]
         return np.zeros_like(t.data)
-
-
-def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
-    return tape.backward(loss)
 
 
 def _emit(kind, out, inputs, bwd) -> Tensor:

@@ -15,7 +15,7 @@ from .tensor import Tape, Tensor, ShapeError, add, elementwise_mul, scale
 
 __all__ = [
     "TrainConfig", "TrainResult", "AdamState", "NumericError",
-    "adam_step", "apply_dropout", "pad_or_crop", "train", "write_metric_log",
+    "adam_step", "apply_dropout", "train", "write_metric_log",
 ]
 
 
@@ -100,20 +100,6 @@ def apply_dropout(x: Tensor, rate: float, rng: np.random.Generator,
     keep = (rng.random(x.data.shape) >= rate).astype(np.float64)
     mask = Tensor(keep * (1.0 / (1.0 - rate)))
     return elementwise_mul(x, mask)
-
-
-def pad_or_crop(tokens: list[int], length: int, pad_id: int = 0) -> tuple[list[int], list[int]]:
-    """Force a token id sequence to a fixed length.
-
-    Long sequences keep their first `length` ids; short ones are
-    right-padded with pad_id.  The mask marks real positions with 1.
-    """
-    if length < 1:
-        raise ValueError("target length must be positive")
-    n = min(len(tokens), length)
-    ids = list(tokens[:n]) + [pad_id] * (length - n)
-    mask = [1] * n + [0] * (length - n)
-    return ids, mask
 
 
 @dataclass

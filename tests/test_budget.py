@@ -64,13 +64,19 @@ def test_count_matches_instantiated_model_everywhere():
         cases.append(_uni(kind, hidden=4))
         cases.append(_uni(kind, head="crf", bi=True, hidden=3))
     cases.append(_uni("parallel", n_layers=2, hidden=4))
+    cases.append(_uni("mixed", n_layers=2, head="crf", bi=True, hidden=3))
+    for spec in (LayerSpec("parallel2", wiring="layer_input"), LayerSpec("mixed", n=(1, 3)),
+                 LayerSpec("mixed", n=(3, 0)), LayerSpec("gated", n=1),
+                 LayerSpec("parallel", n=5)):
+        cases.append(ModelConfig(input_dim=10, layers=(spec,), head=HeadSpec("softmax", 4),
+                                 hidden=4))
 
     for cfg in cases:
         table = random_embeddings(vocab, cfg.input_dim, np.random.default_rng(1))
         names = [f"n{i}" for i in range(cfg.head.classes)]
         model = build_model(cfg, table, names, rng)
         instantiated = sum(p.data.size for p in model.named_parameters().values())
-        assert count_params(cfg) == instantiated, cfg.layers[0].kind
+        assert count_params(cfg) == instantiated, cfg
 
 
 def test_subnetwork_count_override_changes_cost():
@@ -116,8 +122,9 @@ def test_solver_tolerance_gate():
 
 def test_count_validates_hidden():
     cfg = _uni("simple")
-    with pytest.raises(ValueError):
-        count_params(cfg, -1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            count_params(cfg, bad)
     with pytest.raises(ValueError):
         count_params(_uni("simple", hidden=None))
 

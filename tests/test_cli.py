@@ -110,6 +110,24 @@ def test_eval_reads_checkpoint(workspace, capsys):
     assert "16 examples" in out
 
 
+def test_eval_reads_tagger_checkpoint(tmp_path, capsys):
+    corpus = tmp_path / "ner.txt"
+    corpus.write_text("\n\n".join(["Rome B-LOC\nis O\nold O", "Ann B-PER\nsings O",
+                                     "in O\nRome B-LOC", "Ann B-PER\nis O\nhere O"] * 3)
+                      + "\n", encoding="utf-8")
+    config = tmp_path / "ner.ini"
+    _write_config(config, corpus, model={"task": "conll", "topology": "irnn", "classes": "3"},
+                  data={"format": "conll"})
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(tmp_path / "out" / "model.ckpt"),
+                 "--data", str(corpus)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("entity_f1 ")
+    assert "12 examples" in out
+
+
 def test_exit_codes(tmp_path, capsys):
     config = tmp_path / "c.ini"
     config.write_text("[model]\ntask = trec\nbogus = 1\n", encoding="utf-8")
@@ -160,6 +178,10 @@ def test_gradcheck_subcommand(capsys):
     assert main(["gradcheck", "--kind", "irnn", "--inject-error"]) == 0
     out = capsys.readouterr().out
     assert "injected error caught" in out
+
+    # an unknown kind is a config error, not the "gradients wrong" status
+    assert main(["gradcheck", "--kind", "bogus"]) == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_sweep_repeated_seed_has_zero_spread(workspace, capsys):

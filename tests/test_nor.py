@@ -3,9 +3,8 @@ import pytest
 
 from nornet.cells import CellState, cell_step, new_cell_params, zero_state
 from nornet.nor import (NorLayer, NorTopology, SubnetSpec, bidirectional_wrap,
-                        component_i_copy, component_o_combine, gate_topology,
-                        ma2_topology, ma_topology, ms_topology, ss_topology,
-                        unroll)
+                        component_o_combine, gate_topology, ma2_topology,
+                        ma_topology, ms_topology, ss_topology, unroll)
 from nornet.tensor import Tensor, concat, grad_check, reduce_sum
 
 
@@ -18,14 +17,6 @@ def _copy_params(dst_layer, src_layer):
 def _run_bits(layer, xs):
     outs, _ = unroll(layer, [Tensor(x) for x in xs])
     return b"".join(o.data.tobytes() for o in outs)
-
-
-def test_component_i_hands_out_same_tensor():
-    x = Tensor(np.ones(3))
-    copies = component_i_copy(x, 4)
-    assert len(copies) == 4 and all(c is x for c in copies)
-    with pytest.raises(ValueError):
-        component_i_copy(x, 0)
 
 
 def test_combiner_matches_numpy_oracle():

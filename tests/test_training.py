@@ -8,7 +8,7 @@ from nornet.data import CorpusSplits, Vocabulary, random_embeddings
 from nornet.models import build_model
 from nornet.tensor import ShapeError, Tensor, elementwise_mul, reduce_sum, scale, sub
 from nornet.training import (AdamState, NumericError, TrainConfig, adam_step,
-                             apply_dropout, pad_or_crop, train, write_metric_log)
+                             apply_dropout, train, write_metric_log)
 
 
 def test_adam_first_step_closed_form():
@@ -66,14 +66,6 @@ def test_dropout_rate_bounds():
         apply_dropout(x, 1.0, rng, True)
     with pytest.raises(ValueError):
         apply_dropout(x, -0.1, rng, True)
-
-
-def test_pad_or_crop():
-    assert pad_or_crop([5, 6], 4) == ([5, 6, 0, 0], [1, 1, 0, 0])
-    assert pad_or_crop([5, 6, 7, 8, 9], 3) == ([5, 6, 7], [1, 1, 1])
-    assert pad_or_crop([], 2, pad_id=9) == ([9, 9], [0, 0])
-    with pytest.raises(ValueError):
-        pad_or_crop([1], 0)
 
 
 class Scripted:
