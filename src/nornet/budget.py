@@ -32,7 +32,7 @@ class LayerSpec:
 
     n is the subnetwork count (a pair (one_tier, two_tier) for "mixed",
     the pair count for "gated"); None picks the kind's default.  wiring
-    only matters for "parallel2".
+    must be one of the kind's LAYER_KINDS wirings.
     """
 
     kind: str
@@ -45,6 +45,8 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if entry.topology is None and self.n is not None:
             raise ValueError(f"layer kind {self.kind!r} takes no subnetwork count")
+        if self.wiring not in entry.wirings:
+            raise ValueError(f"layer kind {self.kind!r} takes no wiring {self.wiring!r}")
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,9 @@ def _parse_ini(text: str, source) -> configparser.ConfigParser:
     return parser
 
 
-def _get(parser, section, key, cast, default=None):
+def _get(parser, section, key, cast, default=None, override=None):
+    if override is not None:  # a command-line value wins, even a falsy one
+        return override
     if not parser.has_section(section) or key not in parser[section]:
         return default
     raw = parser[section][key]
@@ -108,12 +110,12 @@ def resolve_run(config_path, overrides: dict) -> RunSettings:
 
 
 def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
-    task = overrides.get("task") or _get(parser, "model", "task", str)
+    task = _get(parser, "model", "task", str, override=overrides.get("task"))
     if task is None:
         raise ConfigError("no task preset: set model.task or pass --task")
     if task not in presets.TASKS:
         raise ConfigError(f"unknown task {task!r}; choose from {sorted(presets.TASKS)}")
-    topology = overrides.get("topology") or _get(parser, "model", "topology", str, "irnn")
+    topology = _get(parser, "model", "topology", str, "irnn", override=overrides.get("topology"))
     if topology not in presets.TOPOLOGY_ALIASES:
         raise ConfigError(f"unknown topology {topology!r}; choose from "
                           f"{sorted(presets.TOPOLOGY_ALIASES)}")
@@ -125,8 +127,10 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
     model = ModelConfig(input_dim=embedding_dim, layers=model.layers, head=head,
                         bidirectional=model.bidirectional)
 
-    hidden = overrides.get("hidden") or _get(parser, "model", "hidden", int)
-    budget = overrides.get("budget") or _get(parser, "model", "budget", int)
+    hidden = _get(parser, "model", "hidden", int, override=overrides.get("hidden"))
+    budget = _get(parser, "model", "budget", int, override=overrides.get("budget"))
+    if hidden is not None and hidden < 1:
+        raise ConfigError(f"hidden must be positive, got {hidden}")
     if hidden is None:
         if budget is None:
             budget = presets.default_budgets(task)[0]
@@ -140,12 +144,9 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
     for key, cast in (("seed", int), ("lr", float), ("batch_size", int),
                       ("max_epochs", int), ("dropout", float), ("patience", int),
                       ("lr_decay", float), ("pad_length", int)):
-        val = _get(parser, "train", key, cast)
+        val = _get(parser, "train", key, cast, override=overrides.get(key))
         if val is not None:
             train_over[key] = val
-    for key in ("seed", "max_epochs"):
-        if overrides.get(key) is not None:
-            train_over[key] = overrides[key]
     try:
         train_cfg = presets.train_config(task, **train_over)
     except ValueError as exc:
@@ -154,9 +155,9 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
     fmt = _get(parser, "data", "format", str, presets.TASKS[task]["fmt"])
     return RunSettings(
         task=task, topology=topology, model=model, train=train_cfg, fmt=fmt,
-        train_path=overrides.get("train") or _get(parser, "data", "train", str),
-        dev_path=overrides.get("dev") or _get(parser, "data", "dev", str),
-        test_path=overrides.get("test") or _get(parser, "data", "test", str),
+        train_path=_get(parser, "data", "train", str, override=overrides.get("train")),
+        dev_path=_get(parser, "data", "dev", str, override=overrides.get("dev")),
+        test_path=_get(parser, "data", "test", str, override=overrides.get("test")),
         embeddings_path=_get(parser, "data", "embeddings", str),
         embedding_dim=embedding_dim,
         lowercase=_get(parser, "data", "lowercase", bool, True),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, concat, log_sum_exp, matmul, maximum, reshape
+from .tensor import Tensor, add, log_sum_exp, matmul, maximum, reshape
 
 __all__ = [
     "SoftmaxHeadParams", "CrfParams", "new_softmax_head", "new_crf_head",
@@ -135,14 +135,14 @@ def crf_neg_log_likelihood(emissions: Tensor, tags: list[int], params: CrfParams
     trans = params.transitions
     start, stop = params.start, params.stop
 
+    steps, ones = trans[0:k, 0:k], Tensor(np.ones((1, k)))
     score = add(trans[start, tags[0]], emissions[0, tags[0]])
     alpha = add(trans[start, 0:k], emissions[0])
     for t in range(1, T):
         score = add(add(score, trans[tags[t - 1], tags[t]]), emissions[t, tags[t]])
-        cols = []
-        for j in range(k):
-            cols.append(reshape(log_sum_exp(add(alpha, trans[0:k, j])), (1,)))
-        alpha = add(concat(cols), emissions[t])
+        # cand[i, j] = alpha[i] + trans[i, j]; the product with ones copies alpha exactly
+        cand = add(matmul(reshape(alpha, (k, 1)), ones), steps)
+        alpha = add(log_sum_exp(cand), emissions[t])
     score = add(score, trans[tags[-1], stop])
     log_z = log_sum_exp(add(alpha, trans[0:k, stop]))
     return log_z - score

@@ -27,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .cells import CellParams, CellState, cell_step, new_cell_params
-from .tensor import Tensor, add, concat, elementwise_mul, matmul, relu
+from .tensor import Tensor, add, block_matmul, concat, elementwise_mul, relu
+from .tensor import matmul  # noqa: F401  perfbench's tracer test reads nor.matmul
 
 __all__ = [
     "SubnetSpec", "NorTopology", "NorLayer", "LayerKind", "LAYER_KINDS",
@@ -143,7 +144,7 @@ def ma2_topology(n: int, hidden: int, wiring: str = "tier1_own",
     wiring picks what tier 2 consumes: its own tier-1 output (default) or
     the raw layer input ("layer_input").
     """
-    if wiring not in ("tier1_own", "layer_input"):
+    if wiring not in LAYER_KINDS["parallel2"].wirings:
         raise ValueError("parallel2 wiring is 'tier1_own' or 'layer_input'")
     tiers = (("simple", hidden), ("simple", hidden))
     return _uniform("parallel2", n, hidden, tiers, wiring=wiring, out_dim=out_dim)
@@ -187,13 +188,14 @@ def _mixed_topology(n, hidden: int, wiring: str) -> NorTopology:
 class LayerKind:
     """One layer kind: its name, the short name presets and the command line
     use, its default subnetwork count (a pair for "mixed", the pair count for
-    "gated"), and its topology factory (n, hidden, wiring) -> NorTopology.
-    Plain cells have neither a count nor a factory."""
+    "gated"), its topology factory (n, hidden, wiring) -> NorTopology, and the
+    wirings its layer specs may name.  Plain cells have no count or factory."""
 
     kind: str
     alias: str
     default_n: int | tuple[int, int] | None = None
     topology: Callable[..., NorTopology] | None = None
+    wirings: tuple[str, ...] = ("tier1_own",)
 
 
 LAYER_KINDS = {e.kind: e for e in (
@@ -201,7 +203,7 @@ LAYER_KINDS = {e.kind: e for e in (
     LayerKind("gru", "gru"),
     LayerKind("lstm", "lstm"),
     LayerKind("parallel", "ma", 3, lambda n, hidden, wiring: ma_topology(n, hidden)),
-    LayerKind("parallel2", "ma2", 3, lambda n, hidden, wiring: ma2_topology(n, hidden, wiring)),
+    LayerKind("parallel2", "ma2", 3, ma2_topology, ("tier1_own", "layer_input")),
     LayerKind("mixed", "ms", (2, 2), _mixed_topology),
     LayerKind("shared", "ss", 3, lambda n, hidden, wiring: ss_topology(n, hidden)),
     LayerKind("gated", "gate", 3, lambda n, hidden, wiring: gate_topology(n, hidden)),
@@ -209,29 +211,9 @@ LAYER_KINDS = {e.kind: e for e in (
 
 
 def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
-    """Output component: relu(W [s_1; ...; s_m] + b).
-
-    The product is accumulated blockwise, and the block partial sums are
-    added in an order keyed on their contents rather than their position.
-    That makes the combiner bit-invariant under reordering of the
-    subnetworks (with the matching column-block permutation of W), which
-    positional floating-point accumulation would not be.
-    """
-    if not parts:
-        raise ValueError("combiner needs at least one input")
-    dims = [p.data.shape[0] for p in parts]
-    if w.data.shape[1] != sum(dims):
-        raise ValueError(f"combiner weight has {w.data.shape[1]} columns, inputs total {sum(dims)}")
-    blocks = []
-    at = 0
-    for p, d in zip(parts, dims):
-        blocks.append(matmul(w[:, at:at + d], p))
-        at += d
-    order = sorted(range(len(blocks)), key=lambda i: blocks[i].data.tobytes())
-    acc = blocks[order[0]]
-    for i in order[1:]:
-        acc = add(acc, blocks[i])
-    return relu(add(acc, b))
+    """Output component: relu(W [s_1; ...; s_m] + b), bit-invariant under
+    reordering the subnetworks with W's column blocks (see block_matmul)."""
+    return relu(add(block_matmul(w, parts), b))
 
 
 class NorLayer:

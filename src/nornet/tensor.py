@@ -4,12 +4,12 @@ The graph is rebuilt on every forward pass: opening a Tape makes it the
 active recorder, every op executed while it is open appends one node, and
 backward() walks the node list in reverse.  Tensors created outside a tape
 (parameters, constants) are registered lazily the first time an op touches
-them, so the same parameter tensors can be reused across many tapes.
+them.  The registration lives in the tape, so the same parameter tensors
+can be reused across many tapes, including tapes on other threads.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "grad_check", "GradCheckReport",
-    "add", "sub", "neg", "scale", "elementwise_mul", "matmul", "maximum",
+    "add", "sub", "neg", "scale", "elementwise_mul", "matmul", "block_matmul", "maximum",
     "relu", "sigmoid", "tanh", "concat", "reshape", "softmax_rows",
     "log_sum_exp", "reduce_sum",
 ]
@@ -36,7 +36,7 @@ def _active() -> "Tape | None":
 
 
 class Tensor:
-    """A float64 array plus the id of the tape node that produced it."""
+    """A float64 array plus the tape and node that produced it, if any."""
 
     __slots__ = ("data", "node_id", "_tape")
 
@@ -106,6 +106,8 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.gradients: dict[int, np.ndarray] = {}
+        # id -> (tensor, node) for outside tensors; holding one pins its id
+        self._leaves: dict[int, tuple[Tensor, int]] = {}
 
     def __enter__(self) -> "Tape":
         if _active() is not None:
@@ -118,13 +120,13 @@ class Tape:
         return False
 
     def _leaf_id(self, t: Tensor) -> int:
-        if t._tape is self and t.node_id is not None:
+        if t._tape is self:
             return t.node_id
-        nid = len(self.nodes)
-        self.nodes.append(_Node("leaf", (), None, t.data.shape))
-        t._tape = self
-        t.node_id = nid
-        return nid
+        entry = self._leaves.get(id(t))
+        if entry is None:
+            entry = self._leaves[id(t)] = (t, len(self.nodes))
+            self.nodes.append(_Node("leaf", (), None, t.data.shape))
+        return entry[1]
 
     def _record(self, kind: str, out: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
         ids = tuple(self._leaf_id(t) for t in inputs)
@@ -136,7 +138,7 @@ class Tape:
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Accumulate d(loss)/d(node) for every node reachable from loss."""
-        if loss._tape is not self or loss.node_id is None:
+        if loss._tape is not self:
             raise ValueError("loss tensor was not produced on this tape")
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar-shaped, got {loss.data.shape}")
@@ -158,9 +160,9 @@ class Tape:
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient for t, zeros if t never influenced the loss."""
-        if t._tape is self and t.node_id is not None and t.node_id in self.gradients:
-            return self.gradients[t.node_id]
-        return np.zeros_like(t.data)
+        nid = t.node_id if t._tape is self else self._leaves.get(id(t), (None, None))[1]
+        g = self.gradients.get(nid)
+        return np.zeros_like(t.data) if g is None else g
 
 
 def _emit(kind, out, inputs, bwd) -> Tensor:
@@ -219,6 +221,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _emit("matmul", out, (a, b), bwd)
+
+
+def block_matmul(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
+    """W [p_1; ...; p_m] for vectors p_j: one ordered product per column block
+    of W, the products added in an order keyed on their contents, not their
+    position.  Moving a part together with its column block therefore moves
+    no bit of the result, and a zero block adds an exact zero."""
+    W, xs = w.data, [p.data for p in parts]
+    edges = np.cumsum([0] + [x.size for x in xs])
+    if not xs or W.ndim != 2 or any(x.ndim != 1 for x in xs) or W.shape[1] != edges[-1]:
+        raise ShapeError(f"block_matmul: weight {W.shape}, parts {[x.shape for x in xs]}")
+    blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
+    prods = sorted([_mm2(b, x[:, None])[:, 0] for b, x in zip(blocks, xs)], key=np.ndarray.tobytes)
+    return _emit("block_matmul", sum(prods[1:], prods[0]), (w, *parts), lambda g: (
+        np.outer(g, np.concatenate(xs)), *(_mm2(b.T, g[:, None])[:, 0] for b in blocks)))
 
 
 def _same_shape(a, b, op):
@@ -344,14 +361,14 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def log_sum_exp(a: Tensor) -> Tensor:
-    """log(sum(exp(v))) of a 1-D tensor, computed shift-stably; returns a scalar."""
+    """Shift-stable log(sum(exp(.))) down the first axis: a vector gives a scalar."""
     v = a.data
-    if v.ndim != 1:
-        raise ShapeError(f"log_sum_exp expects a vector, got shape {v.shape}")
-    m = v.max()
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"log_sum_exp expects a vector or a matrix, got shape {v.shape}")
+    m = v.max(axis=0)
     e = np.exp(v - m)
-    s = e.sum()
-    out = np.asarray(m + math.log(s))
+    s = e.sum(axis=0)
+    out = np.asarray(m + np.log(s))
     soft = e / s
     return _emit("log_sum_exp", out, (a,), lambda g: (np.asarray(g) * soft,))
 

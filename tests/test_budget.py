@@ -120,6 +120,14 @@ def test_solver_tolerance_gate():
         solve_hidden_size(cfg, 14, tolerance=1)
 
 
+def test_layer_spec_rejects_a_wiring_its_kind_ignores():
+    assert LayerSpec("parallel2", wiring="layer_input").wiring == "layer_input"
+    for kind, wiring in (("shared", "layer_input"), ("simple", "tier1_all"),
+                         ("parallel", "bogus")):
+        with pytest.raises(ValueError, match="wiring"):
+            LayerSpec(kind, wiring=wiring)
+
+
 def test_count_validates_hidden():
     cfg = _uni("simple")
     for bad in (0, -1):

@@ -51,6 +51,19 @@ def test_resolve_run_merges_file_and_flags(workspace):
     assert run.model.hidden == 7 and run.train.seed == 9
 
 
+def test_resolve_run_keeps_falsy_flags(workspace, capsys):
+    tmp, config = workspace
+    with pytest.raises(ConfigError, match="hidden"):
+        resolve_run(config, {"hidden": 0})
+    _write_config(config, tmp / "train.txt", model={"hidden": ""})
+    with pytest.raises(ConfigError):
+        resolve_run(config, {"budget": 0})
+    _write_config(config, tmp / "train.txt")
+    assert main(["train", "--config", str(config), "--out", str(tmp / "o"),
+                 "--hidden", "0"]) == 2
+    assert "hidden" in capsys.readouterr().err
+
+
 def test_resolve_run_solves_budget_when_hidden_absent(tmp_path):
     corpus = tmp_path / "train.txt"
     _write_corpus(corpus)

@@ -113,6 +113,18 @@ def test_crf_single_tag_loss_is_exactly_zero():
         assert crf_neg_log_likelihood(em, [0] * T, head).item() == 0.0
 
 
+def test_crf_node_count_does_not_grow_with_tags():
+    rng = np.random.default_rng(60)
+    counts = []
+    for k in (1, 3, 9):
+        head = _random_crf(k, 3, rng)
+        em = Tensor(rng.normal(size=(4, k)))
+        with Tape() as tape:
+            crf_neg_log_likelihood(em, [0, k - 1, 0, k - 1], head)
+        counts.append(sum(node.kind != "leaf" for node in tape.nodes))
+    assert counts[0] == counts[1] == counts[2]
+
+
 def test_crf_nll_is_positive_with_alternatives():
     rng = np.random.default_rng(55)
     head = _random_crf(3, 3, rng)

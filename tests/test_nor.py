@@ -5,7 +5,7 @@ from nornet.cells import CellState, cell_step, new_cell_params, zero_state
 from nornet.nor import (NorLayer, NorTopology, SubnetSpec, bidirectional_wrap,
                         component_o_combine, gate_topology, ma2_topology,
                         ma_topology, ms_topology, ss_topology, unroll)
-from nornet.tensor import Tensor, concat, grad_check, reduce_sum
+from nornet.tensor import Tape, Tensor, concat, grad_check, reduce_sum
 
 
 def _copy_params(dst_layer, src_layer):
@@ -32,6 +32,17 @@ def test_combiner_matches_numpy_oracle():
 def test_combiner_rejects_mismatched_width():
     with pytest.raises(ValueError):
         component_o_combine([Tensor(np.ones(3))], Tensor(np.ones((2, 4))), Tensor(np.ones(2)))
+
+
+def test_combiner_node_count_does_not_grow_with_subnetworks():
+    rng = np.random.default_rng(31)
+    counts = []
+    for m in (1, 3, 6):
+        parts = [Tensor(rng.normal(size=2)) for _ in range(m)]
+        with Tape() as tape:
+            component_o_combine(parts, Tensor(rng.normal(size=(3, 2 * m))), Tensor(np.zeros(3)))
+        counts.append(sum(node.kind != "leaf" for node in tape.nodes))
+    assert counts == [3, 3, 3]
 
 
 def test_ma_forward_matches_numpy_oracle():

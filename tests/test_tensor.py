@@ -1,7 +1,11 @@
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from nornet.tensor import (ShapeError, Tape, Tensor, add, concat,
+from nornet.tensor import (ShapeError, Tape, Tensor, add, block_matmul, concat,
                            elementwise_mul, grad_check, log_sum_exp, matmul,
                            maximum, neg, reduce_sum, relu, reshape, scale,
                            sigmoid, slice_, softmax_rows, sub, tanh)
@@ -33,6 +37,46 @@ def test_matmul_zero_summands_change_nothing():
     rhs = matmul(Tensor(wide), Tensor(np.concatenate([x, np.zeros(5)]))).data
     assert lhs.tobytes() == rhs.tobytes()
     del xz
+
+
+def _blocks(rng, dims, rows=4):
+    return Tensor(rng.normal(size=(rows, sum(dims)))), [Tensor(rng.normal(size=d)) for d in dims]
+
+
+def test_block_matmul_zero_block_changes_nothing():
+    rng = np.random.default_rng(5)
+    w, parts = _blocks(rng, (3, 2))
+    wide = Tensor(np.concatenate([w.data[:, :3], np.zeros((4, 4)), w.data[:, 3:]], axis=1))
+    padded = [parts[0], Tensor(rng.normal(size=4)), parts[1]]
+    got = block_matmul(w, parts).data
+    assert got.tobytes() == block_matmul(wide, padded).data.tobytes()
+    np.testing.assert_allclose(got, w.data @ np.concatenate([p.data for p in parts]),
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_block_matmul_is_invariant_to_block_order():
+    # moving a part together with its column block moves no bit
+    rng = np.random.default_rng(6)
+    dims = (3, 1, 4, 2)
+    w, parts = _blocks(rng, dims)
+    edges = np.cumsum((0,) + dims)
+    cols = [w.data[:, edges[i]:edges[i + 1]] for i in range(len(dims))]
+    want = block_matmul(w, parts).data.tobytes()
+    for perm in [(3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)]:
+        moved = Tensor(np.concatenate([cols[i] for i in perm], axis=1))
+        assert block_matmul(moved, [parts[i] for i in perm]).data.tobytes() == want
+
+
+def test_block_matmul_gradcheck_and_shape_errors():
+    rng = np.random.default_rng(7)
+    w, parts = _blocks(rng, (2, 3))
+    report = grad_check(lambda: reduce_sum(tanh(block_matmul(w, parts))),
+                        {"w": w, "p0": parts[0], "p1": parts[1]})
+    assert report.passed, report.lines()
+    for bad_w, bad_parts in [(w, parts[:1]), (w, []), (Tensor(np.zeros(5)), parts),
+                             (w, [parts[0], Tensor(np.zeros((3, 1)))])]:
+        with pytest.raises(ShapeError):
+            block_matmul(bad_w, bad_parts)
 
 
 def test_matmul_shape_errors():
@@ -96,8 +140,8 @@ def test_ops_outside_tape_run_eagerly():
 
 
 def test_leaf_reused_across_tapes():
-    # gradient buffers live on the tape: read them before reusing the
-    # parameter on a later tape, which retargets the tensor's identity
+    # each tape keeps its own registration of a parameter, so reusing the
+    # parameter on a later tape leaves the earlier tape's gradient intact
     p = Tensor(np.array([2.0]))
     with Tape() as t1:
         t1.backward(reduce_sum(scale(p, 3.0)))
@@ -106,7 +150,86 @@ def test_leaf_reused_across_tapes():
         t2.backward(reduce_sum(elementwise_mul(p, p)))
     np.testing.assert_array_equal(g1, [3.0])
     np.testing.assert_array_equal(t2.grad(p), [4.0])
-    np.testing.assert_array_equal(t1.grad(p), [0.0])  # stale read: zeros
+    np.testing.assert_array_equal(t1.grad(p), [3.0])
+
+
+def test_threads_sharing_a_parameter_keep_their_own_gradients():
+    # force the interleaving: thread A uses w, thread B uses w on its own
+    # tape, then A uses w again; A's gradient must count both of its uses
+    w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    x = Tensor(np.array([0.3, -0.7]))
+    a_used, b_used = threading.Event(), threading.Event()
+    grads, errors = {}, []
+
+    def thread_a():
+        try:
+            with Tape() as tape:
+                h = tanh(matmul(w, x))
+                a_used.set()
+                assert b_used.wait(10)
+                tape.backward(reduce_sum(matmul(w, h)))
+            grads["a"] = tape.grad(w)
+        except Exception as exc:
+            errors.append(exc)
+
+    def thread_b():
+        try:
+            assert a_used.wait(10)
+            with Tape() as tape:
+                tape.backward(reduce_sum(matmul(w, x)))
+            grads["b"] = tape.grad(w)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            b_used.set()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+    assert not any(t.is_alive() for t in threads) and not errors
+
+    with Tape() as tape:
+        tape.backward(reduce_sum(matmul(w, tanh(matmul(w, x)))))
+    assert grads["a"].tobytes() == tape.grad(w).tobytes()
+    with Tape() as tape:
+        tape.backward(reduce_sum(matmul(w, x)))
+    assert grads["b"].tobytes() == tape.grad(w).tobytes()
+
+
+def test_many_threads_sharing_parameters_match_serial_gradients():
+    rng = np.random.default_rng(8)
+    w = Tensor(rng.normal(size=(3, 3)))
+    xs = [Tensor(rng.normal(size=3)) for _ in range(6)]
+
+    def grad_bytes(x):
+        with Tape() as tape:
+            tape.backward(reduce_sum(matmul(w, tanh(matmul(w, x)))))
+        return tape.grad(w).tobytes()
+
+    want = [grad_bytes(x) for x in xs]
+    same, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(30):
+                same.append([grad_bytes(x) for x in xs] == want)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert same == [True] * 120
 
 
 def test_maximum_tie_gradient_goes_to_first_operand():
@@ -144,8 +267,14 @@ def test_log_sum_exp_matches_oracle_and_survives_large_inputs():
     v = np.array([1000.0, 1000.0])
     got = log_sum_exp(Tensor(v)).item()
     assert got == pytest.approx(1000.0 + np.log(2.0), abs=1e-12)
+    # a matrix reduces down its first axis, one value per column
+    m = np.random.default_rng(4).normal(size=(3, 4)) * 10
+    got = log_sum_exp(Tensor(m)).data
+    assert got.shape == (4,)
+    for j in range(4):
+        assert got[j] == pytest.approx(math.log(sum(math.exp(v) for v in m[:, j])), rel=1e-14)
     with pytest.raises(ShapeError):
-        log_sum_exp(Tensor(np.zeros((2, 2))))
+        log_sum_exp(Tensor(np.zeros((2, 2, 2))))
 
 
 def test_slice_gradient_scatters_back():
