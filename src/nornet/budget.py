@@ -30,23 +30,23 @@ class BudgetError(ValueError):
 class LayerSpec:
     """One recurrent layer: a plain cell or a composite topology.
 
-    n is the subnetwork count (a pair (one_tier, two_tier) for "mixed",
-    the pair count for "gated"); None picks the kind's default.  wiring
-    must be one of the kind's LAYER_KINDS wirings.
+    n (the subnetwork count, as in NorTopology) and wiring pick the kind's
+    default when None.  A composite spec is checked by the topology it
+    builds; a plain cell takes neither.
     """
 
     kind: str
     n: int | tuple[int, int] | None = None
-    wiring: str = "tier1_own"
+    wiring: str | None = None
 
     def __post_init__(self):
         entry = LAYER_KINDS.get(self.kind)
         if entry is None:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if entry.topology is None and self.n is not None:
-            raise ValueError(f"layer kind {self.kind!r} takes no subnetwork count")
-        if self.wiring not in entry.wirings:
-            raise ValueError(f"layer kind {self.kind!r} takes no wiring {self.wiring!r}")
+        if entry.default_n is not None:
+            layer_topology(self, 1)
+        elif self.n is not None or self.wiring is not None:
+            raise ValueError(f"plain layer kind {self.kind!r} takes no subnetwork count or wiring")
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,11 @@ class ModelConfig:
 
 
 def layer_topology(spec: LayerSpec, hidden: int) -> NorTopology | None:
-    """Topology object for a composite layer spec; None for plain cells."""
-    entry = LAYER_KINDS[spec.kind]
-    if entry.topology is None:
+    """Topology for a composite layer spec; None for plain cells."""
+    default_n = LAYER_KINDS[spec.kind].default_n
+    if default_n is None:
         return None
-    n = entry.default_n if spec.n is None else spec.n
-    return entry.topology(n, hidden, spec.wiring)
+    return NorTopology(spec.kind, default_n if spec.n is None else spec.n, hidden, spec.wiring)
 
 
 def _cell_count(kind: str, input_dim: int, hidden: int) -> int:
@@ -118,7 +117,7 @@ def count_params(config: ModelConfig, hidden: int | None = None) -> int:
             layer = _cell_count(spec.kind, d, h)
         else:
             cells, combiner_in = topo.plan(d)
-            layer = topo.combiner_out_dim * (combiner_in + 1)
+            layer = topo.hidden * (combiner_in + 1)
             for tiers in cells:
                 for cell in tiers:
                     layer += _cell_count(*cell)

@@ -25,7 +25,7 @@ from .data import (CorpusError, CorpusSplits, Vocabulary, load_classification_co
 from .models import CellLayer, _make_layer, build_model, load_checkpoint, save_checkpoint
 from .nor import LAYER_KINDS, unroll
 from .tensor import Tensor, add, concat, grad_check, reduce_sum
-from .training import NumericError, TrainConfig, _crop, train, write_metric_log
+from .training import NumericError, TrainConfig, train, write_metric_log
 
 __all__ = ["main", "entry"]
 
@@ -267,10 +267,15 @@ def _run_training(run: RunSettings, out_dir: Path, quiet=False):
               f"  best dev metric {result.best_metric:.4f}")
     test_metric = None
     if corpus.test:
-        test_metric = model.evaluate([_crop(ex, result.pad_length) for ex in corpus.test])
+        test_metric = model.evaluate(corpus.test)
         if not quiet:
-            print(f"test metric {test_metric:.4f}")
+            print(f"test metric {test_metric:.4f}  ({_crop_note(corpus.test, result.pad_length)})")
     return model, result, test_metric
+
+
+def _crop_note(examples, pad_length) -> str:
+    longer = sum(len(tokens) > pad_length for tokens, _ in examples)
+    return f"{longer} of {len(examples)} examples longer than pad length {pad_length}, scored in full"
 
 
 # --- subcommands -----------------------------------------------------------
@@ -295,11 +300,11 @@ def cmd_eval(args) -> int:
 
     vocab = Vocabulary(tokens=list(ckpt.vocab_tokens))
     examples = _load_corpus(run, args.data, vocab, ckpt.names).examples()
-    if run.train.pad_length:
-        examples = [_crop(ex, run.train.pad_length) for ex in examples]
     metric = model.evaluate(examples)
     kind = "entity_f1" if run.fmt == "conll" else "accuracy"
-    print(f"{kind} {metric:.6f}  ({len(examples)} examples)")
+    note = (f"{len(examples)} examples" if run.train.pad_length is None
+            else _crop_note(examples, run.train.pad_length))
+    print(f"{kind} {metric:.6f}  ({note})")
     return EXIT_OK
 
 

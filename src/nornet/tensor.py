@@ -137,7 +137,8 @@ class Tape:
         return res
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Accumulate d(loss)/d(node) for every node reachable from loss."""
+        """Gradients of loss for the leaves it reaches; an op's partial is
+        dropped once passed on to its inputs."""
         if loss._tape is not self:
             raise ValueError("loss tensor was not produced on this tape")
         if loss.data.size != 1:
@@ -149,6 +150,7 @@ class Tape:
             node = self.nodes[nid]
             if g is None or node.backward is None:
                 continue
+            partial[nid] = None
             for iid, gi in zip(node.inputs, node.backward(g)):
                 if gi is None:
                     continue
@@ -159,9 +161,10 @@ class Tape:
         return self.gradients
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient for t, zeros if t never influenced the loss."""
-        nid = t.node_id if t._tape is self else self._leaves.get(id(t), (None, None))[1]
-        g = self.gradients.get(nid)
+        """Gradient for a leaf t, zeros if t never influenced the loss."""
+        if t._tape is self:
+            raise ValueError("an op result keeps no gradient; ask for a leaf's")
+        g = self.gradients.get(self._leaves.get(id(t), (None, None))[1])
         return np.zeros_like(t.data) if g is None else g
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nornet.budget import (BudgetError, HeadSpec, LayerSpec, ModelConfig,
-                           count_params, emit_sizing_table, solve_hidden_size)
+                           count_params, emit_sizing_table, layer_topology,
+                           solve_hidden_size)
 from nornet.data import Vocabulary, random_embeddings
 from nornet.models import build_model
 from nornet.presets import (REFERENCE_SIZES, STANDARD_TOPOLOGIES, TASKS,
@@ -66,7 +67,9 @@ def test_count_matches_instantiated_model_everywhere():
     cases.append(_uni("parallel", n_layers=2, hidden=4))
     cases.append(_uni("mixed", n_layers=2, head="crf", bi=True, hidden=3))
     for spec in (LayerSpec("parallel2", wiring="layer_input"), LayerSpec("mixed", n=(1, 3)),
-                 LayerSpec("mixed", n=(3, 0)), LayerSpec("gated", n=1),
+                 LayerSpec("mixed", n=(3, 0)), LayerSpec("mixed", n=(0, 2)),
+                 LayerSpec("gated", n=1), LayerSpec("shared", n=1),
+                 LayerSpec("parallel", n=1), LayerSpec("parallel2", n=1),
                  LayerSpec("parallel", n=5)):
         cases.append(ModelConfig(input_dim=10, layers=(spec,), head=HeadSpec("softmax", 4),
                                  hidden=4))
@@ -118,6 +121,13 @@ def test_solver_tolerance_gate():
     assert solve_hidden_size(cfg, 10, tolerance=0) == 1
     with pytest.raises(BudgetError):
         solve_hidden_size(cfg, 14, tolerance=1)
+
+
+def test_shared_layer_is_wired_tier1_all():
+    assert layer_topology(LayerSpec("shared"), 3).wiring == "tier1_all"
+    assert LayerSpec("shared").wiring is None
+    with pytest.raises(ValueError, match="wiring"):
+        LayerSpec("shared", wiring="tier1_own")
 
 
 def test_layer_spec_rejects_a_wiring_its_kind_ignores():

@@ -5,6 +5,8 @@ import pytest
 
 from nornet.budget import solve_hidden_size
 from nornet.cli import ConfigError, main, resolve_run
+from nornet.data import Vocabulary, load_conll
+from nornet.models import build_model, load_checkpoint
 
 LABELS = ("AA", "BB")
 WORDS = {"AA": ["red", "rose", "ruby"], "BB": ["blue", "lake", "sky"]}
@@ -139,6 +141,38 @@ def test_eval_reads_tagger_checkpoint(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("entity_f1 ")
     assert "12 examples" in out
+
+
+def test_eval_scores_entities_past_the_training_pad_length(tmp_path, capsys):
+    # training sentences have at most 3 tokens, so the pad length is 3; the
+    # scored file puts a gold entity at position 3 of both sentences
+    corpus = tmp_path / "ner.txt"
+    corpus.write_text("\n\n".join(["Rome B-LOC\nis O\nold O", "Ann B-PER\nsings O",
+                                     "in O\nRome B-LOC", "Ann B-PER\nis O\nhere O"] * 3)
+                      + "\n", encoding="utf-8")
+    late = tmp_path / "late.txt"
+    late.write_text("is O\nold O\nin O\nRome B-LOC\n\nAnn B-PER\nis O\nin O\nRome B-LOC\n",
+                    encoding="utf-8")
+    config = tmp_path / "ner.ini"
+    _write_config(config, corpus, model={"task": "conll", "topology": "irnn", "classes": "3"},
+                  train={"max_epochs": "8", "lr": "0.05", "dropout": "0"},
+                  data={"format": "conll"})
+    out_dir = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out_dir),
+                 "--test", str(late)]) == 0
+    note = "2 of 2 examples longer than pad length 3, scored in full"
+    assert note in capsys.readouterr().out
+    assert main(["eval", "--checkpoint", str(out_dir / "model.ckpt"), "--data", str(late)]) == 0
+    out = capsys.readouterr().out
+    assert note in out
+
+    ckpt = load_checkpoint(out_dir / "model.ckpt")
+    model = build_model(resolve_run(out_dir / "config.resolved.ini", {}).model,
+                        ckpt.arrays["embedding"], ckpt.names, np.random.default_rng(0))
+    model.load_state(ckpt.arrays)
+    full = load_conll(late, vocab=Vocabulary(tokens=list(ckpt.vocab_tokens)),
+                      tag_names=ckpt.names).examples()
+    assert out.startswith(f"entity_f1 {model.evaluate(full):.6f}")
 
 
 def test_exit_codes(tmp_path, capsys):

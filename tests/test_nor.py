@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nornet.cells import CellState, cell_step, new_cell_params, zero_state
-from nornet.nor import (NorLayer, NorTopology, SubnetSpec, bidirectional_wrap,
+from nornet.nor import (NorLayer, NorTopology, bidirectional_wrap,
                         component_o_combine, gate_topology, ma2_topology,
                         ma_topology, ms_topology, ss_topology, unroll)
 from nornet.tensor import Tape, Tensor, concat, grad_check, reduce_sum
@@ -177,18 +177,27 @@ def test_layer_rejects_wrong_input_shape():
 
 
 def test_topology_validation():
-    two_tier = SubnetSpec(tiers=(("simple", 2), ("simple", 2)))
-    with pytest.raises(ValueError):
-        NorTopology("parallel", (two_tier,), 2)
-    with pytest.raises(ValueError):
-        NorTopology("shared", (two_tier,), 2)  # needs tier1_all wiring
+    bad_counts = {"parallel": (0, -1, (1, 1)), "parallel2": (0, (2, 0)), "shared": (0,),
+                  "gated": (0, (1, 1)), "mixed": ((0, 0), (-1, 2), 3, (1, 2, 3))}
+    for kind, counts in bad_counts.items():
+        for n in counts:
+            with pytest.raises(ValueError, match="count|pair"):
+                NorTopology(kind, n, 2)
+    for kind, n in (("parallel", 3), ("mixed", (2, 2)), ("gated", 1)):
+        with pytest.raises(ValueError, match="hidden"):
+            NorTopology(kind, n, 0)
+    for kind in ("bogus", "simple", "lstm"):
+        with pytest.raises(ValueError, match="kind"):
+            NorTopology(kind, 1, 2)
+    for kind, wiring in (("parallel", "layer_input"), ("shared", "tier1_own"),
+                         ("parallel2", "tier1_all"), ("gated", "bogus")):
+        with pytest.raises(ValueError, match="wiring"):
+            NorTopology(kind, 2, 2, wiring)
+    # factories and None pick the kind's first listed wiring
+    assert ss_topology(2, 3).wiring == "tier1_all"
+    assert ma2_topology(2, 3) == NorTopology("parallel2", 2, 3, "tier1_own")
     with pytest.raises(ValueError):
         gate_topology(0, 2)
-    one = SubnetSpec(tiers=(("simple", 2),))
-    with pytest.raises(ValueError):
-        NorTopology("gated", (one,), 2)  # odd count cannot pair
-    with pytest.raises(ValueError):
-        NorTopology("bogus", (one,), 2)
     with pytest.raises(ValueError):
         ms_topology(0, 0, 2)
 

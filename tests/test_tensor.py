@@ -106,6 +106,18 @@ def test_backward_through_affine_chain():
     np.testing.assert_array_equal(tape.grad(b), np.ones(2))
 
 
+def test_backward_keeps_only_leaf_gradients():
+    w = Tensor(np.arange(6.0).reshape(2, 3))
+    x = Tensor(np.ones(3))
+    with Tape() as tape:
+        h = tanh(matmul(w, x))
+        grads = tape.backward(reduce_sum(elementwise_mul(h, h)))
+    assert sorted(grads) == [i for i, node in enumerate(tape.nodes) if node.kind == "leaf"]
+    assert tape.grad(w).shape == (2, 3)
+    with pytest.raises(ValueError, match="leaf"):
+        tape.grad(h)
+
+
 def test_grad_of_unused_parameter_is_zeros():
     used = Tensor(np.ones(2))
     unused = Tensor(np.ones(3))

@@ -3,7 +3,8 @@ of every trained parameter after 2 epochs.
 
 Covers the 8 layer kinds as a 2-layer unidirectional softmax classifier and
 a 2-layer bidirectional CRF tagger, plus parallel2 with layer_input wiring
-and parallel with n=5 (input width 8, budget 4000).  Run it on two trees and
+(both heads), parallel with n=5 and the edge counts mixed (3, 0) and (0, 2),
+gated 1 and shared 1 (input width 8, budget 4000).  Run it on two trees and
 diff the output; identical lines mean bit-identical solved sizes, counts and
 trained parameters:
 
@@ -57,3 +58,9 @@ if __name__ == "__main__":
     digest("parallel2-layer_input/uni2", ModelConfig(
         D, (LayerSpec("parallel2", wiring="layer_input"),) * 2, HeadSpec("softmax", 4)))
     digest("parallel-n5/uni2", ModelConfig(D, (LayerSpec("parallel", n=5),) * 2, HeadSpec("softmax", 4)))
+    digest("parallel2-layer_input/bi2/crf", ModelConfig(
+        D, (LayerSpec("parallel2", wiring="layer_input"),) * 2, HeadSpec("crf", 3), True))
+    for kind, n in (("mixed", (3, 0)), ("mixed", (0, 2)), ("gated", 1), ("shared", 1)):
+        label = "-".join(str(c) for c in (n if isinstance(n, tuple) else (n,)))
+        digest(f"{kind}-n{label}/uni2", ModelConfig(
+            D, (LayerSpec(kind, n=n),) * 2, HeadSpec("softmax", 4)))
