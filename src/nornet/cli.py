@@ -292,7 +292,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+    try:
+        ckpt = load_checkpoint(args.checkpoint)
+    except (ValueError, IndexError) as exc:
+        raise CorpusError(f"cannot read checkpoint {args.checkpoint}: {exc}") from exc
     run = _resolve(_parse_ini(ckpt.config_text, args.checkpoint), {})
     model = build_model(run.model, ckpt.arrays["embedding"], ckpt.names,
                         np.random.default_rng(0))
@@ -366,6 +369,9 @@ def _gradcheck_scenario(kind: str, input_dim: int, hidden: int, steps: int,
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, size in (("input-dim", args.input_dim), ("hidden", args.hidden), ("steps", args.steps)):
+        if size < 1:
+            raise ConfigError(f"--{flag} must be positive, got {size}")
     rng = np.random.default_rng(args.seed)
     f, params = _gradcheck_scenario(args.kind, args.input_dim, args.hidden,
                                     args.steps, rng)

@@ -253,7 +253,8 @@ def save_conll(corpus: TaggedCorpus, path) -> None:
 
 
 def load_embeddings(path, vocab: Vocabulary, dim: int) -> np.ndarray:
-    """Read whitespace-separated word vectors into a (V, dim) float64 table.
+    """Read single-space-separated word vectors into a (V, dim) float64 table;
+    trailing whitespace, which word2vec's text format writes, is ignored.
 
     Tokens missing from the file get zero vectors, as do padding and
     unknown.  The returned table is marked read-only: embeddings are never
@@ -263,7 +264,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int) -> np.ndarray:
     wanted = vocab.index
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            parts = raw.rstrip("\n").split(" ")
+            parts = raw.rstrip().split(" ")
             if len(parts) < 2:
                 continue
             token, values = parts[0], parts[1:]

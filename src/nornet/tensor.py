@@ -177,23 +177,31 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 
 # --- reductions ------------------------------------------------------------
 #
-# Matrix products accumulate with a strict left-to-right running sum
-# (cumsum) instead of BLAS.  Sequential accumulation is what makes two of
-# the library's guarantees hold at the bit level: summands that are exactly
-# zero never perturb the result, so a weight matrix padded with zero blocks
-# computes bit-identical outputs to its unpadded form regardless of how the
-# platform BLAS would regroup the terms.
-
-
-def _seqsum_last(prod: np.ndarray) -> np.ndarray:
-    if prod.shape[-1] == 0:
-        return np.zeros(prod.shape[:-1])
-    return np.cumsum(prod, axis=-1)[..., -1]
+# Matrix products add their terms strictly left to right instead of using
+# BLAS.  Sequential accumulation is what makes two of the library's
+# guarantees hold at the bit level: summands that are exactly zero never
+# perturb the result, so a weight matrix padded with zero blocks computes
+# bit-identical outputs to its unpadded form regardless of how the platform
+# BLAS would regroup the terms.  The order rests on numpy reducing a leading
+# axis one row at a time, as checked on numpy 2.4.6.
 
 
 def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (m,k) @ (k,n) with sequential accumulation over k
-    return _seqsum_last(a[:, None, :] * b.T[None, :, :])
+    """(m, k) @ (k, n), each entry summed over k strictly left to right.
+
+    The product is laid out k first (order="C": after a.T, k would be the
+    contiguous axis, which numpy sums pairwise) and reduced from -0.0, which
+    keeps a sum of negative zeros negative.  With m·n == 1 numpy sums
+    pairwise anyway, so a dot product keeps the running sum of np.cumsum."""
+    k = a.shape[1]
+    if k == 0:
+        return np.zeros((a.shape[0], b.shape[1]))
+    if k == 1:
+        return a * b
+    if a.shape[0] * b.shape[1] == 1:
+        return np.cumsum(a * b.T, axis=1)[:, -1:]
+    prod = np.multiply(a.T[:, :, None], b[:, None, :], order="C")
+    return np.add.reduce(prod, axis=0, initial=-0.0)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

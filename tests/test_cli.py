@@ -125,6 +125,15 @@ def test_eval_reads_checkpoint(workspace, capsys):
     assert "16 examples" in out
 
 
+def test_eval_rejects_a_file_that_is_not_a_checkpoint(workspace, capsys):
+    tmp, config = workspace
+    for text in ("not a checkpoint\n", "nornet-checkpoint 1\n[config] 3\n"):
+        (tmp / "bogus.ckpt").write_text(text, encoding="utf-8")
+        code = main(["eval", "--checkpoint", str(tmp / "bogus.ckpt"), "--data", str(tmp / "train.txt")])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
+
 def test_eval_reads_tagger_checkpoint(tmp_path, capsys):
     corpus = tmp_path / "ner.txt"
     corpus.write_text("\n\n".join(["Rome B-LOC\nis O\nold O", "Ann B-PER\nsings O",
@@ -229,6 +238,13 @@ def test_gradcheck_subcommand(capsys):
     # an unknown kind is a config error, not the "gradients wrong" status
     assert main(["gradcheck", "--kind", "bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, flag", [("ma", "--steps"), ("ma", "--hidden"), ("irnn", "--hidden"),
+                                        ("ma", "--input-dim"), ("crf", "--steps")])
+def test_gradcheck_zero_size_is_a_config_error(kind, flag, capsys):
+    assert main(["gradcheck", "--kind", kind, flag, "0"]) == 2
+    assert f"{flag} must be positive" in capsys.readouterr().err
 
 
 def test_sweep_repeated_seed_has_zero_spread(workspace, capsys):

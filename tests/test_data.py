@@ -147,6 +147,21 @@ def test_embeddings_dim_mismatch_names_line(tmp_path):
         load_embeddings(path, vocab, 3)
 
 
+def test_embeddings_accept_word2vec_trailing_space(tmp_path):
+    # word2vec's text format writes a header line and ends each vector with a space
+    vocab = Vocabulary()
+    for w in ("cat", "dog"):
+        vocab.add(w)
+    path = tmp_path / "vec.txt"
+    path.write_text("2 3\ncat 0.1 0.2 0.3 \ndog -1.0 0.5 0.25 \r\n", encoding="utf-8")
+    table = load_embeddings(path, vocab, 3)
+    np.testing.assert_array_equal(table[vocab.id("cat")], [0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(table[vocab.id("dog")], [-1.0, 0.5, 0.25])
+    path.write_text("cat 0.1 oops 0.3 \n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=":1: bad float"):
+        load_embeddings(path, vocab, 3)
+
+
 def test_random_embeddings_are_seeded_and_frozen():
     vocab = Vocabulary(tokens=["<pad>", "<unk>", "a", "b"])
     t1 = random_embeddings(vocab, 5, np.random.default_rng(9))

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from nornet.tensor import (ShapeError, Tape, Tensor, add, block_matmul, concat,
+from nornet.tensor import (ShapeError, Tape, Tensor, _mm2, add, block_matmul, concat,
                            elementwise_mul, grad_check, log_sum_exp, matmul,
                            maximum, neg, reduce_sum, relu, reshape, scale,
                            sigmoid, slice_, softmax_rows, sub, tanh)
@@ -27,16 +27,66 @@ def test_matmul_exact_on_integers():
 
 
 def test_matmul_zero_summands_change_nothing():
-    # padding a weight matrix with zero columns must not move a single bit
+    # padding a weight matrix with zero columns must not move a single bit,
+    # whether the padded input entries are zeros of either sign or not zero
     rng = np.random.default_rng(1)
     w = rng.normal(size=(4, 3))
     x = rng.normal(size=3)
     wide = np.concatenate([w, np.zeros((4, 5))], axis=1)
     xz = np.concatenate([x, rng.normal(size=5) * 0.0])
+    assert np.signbit(xz[3:]).any() and not np.signbit(xz[3:]).all()
     lhs = matmul(Tensor(w), Tensor(x)).data
-    rhs = matmul(Tensor(wide), Tensor(np.concatenate([x, np.zeros(5)]))).data
-    assert lhs.tobytes() == rhs.tobytes()
-    del xz
+    for padded in (np.concatenate([x, np.zeros(5)]), xz, np.concatenate([x, rng.normal(size=5)])):
+        assert lhs.tobytes() == matmul(Tensor(wide), Tensor(padded)).data.tobytes()
+
+
+def _running_sum_mm2(a, b):
+    # the reference order: a cumsum along k, of which only the last entry counts
+    prod = a[:, None, :] * b.T[None, :, :]
+    if prod.shape[-1] == 0:
+        return np.zeros(prod.shape[:-1])
+    return np.cumsum(prod, axis=-1)[..., -1]
+
+
+def _same_bits(x, y):
+    # equal values, NaN where NaN, and the same sign on every zero
+    return (x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x) & (x == 0), np.signbit(y) & (y == 0)))
+
+
+def _operands(rng, m, k, n, fill):
+    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    if fill == "zeros":
+        a, b = a * 0.0, b * 0.0
+    elif fill == "signed_zeros":
+        a[rng.random(a.shape) < 0.5] = -0.0
+        b[rng.random(b.shape) < 0.3] = 0.0
+    elif fill == "nonfinite":
+        a[rng.random(a.shape) < 0.2] = np.inf
+        a[rng.random(a.shape) < 0.1] = -np.inf
+        b[rng.random(b.shape) < 0.1] = np.nan
+    elif fill == "extreme":
+        a *= 10.0 ** rng.integers(-300, 301, size=a.shape)
+        b *= 10.0 ** rng.integers(-300, 301, size=b.shape)
+    return a, b
+
+
+_FILLS = ("normal", "zeros", "signed_zeros", "nonfinite", "extreme")
+
+
+@pytest.mark.parametrize("fill", _FILLS)
+def test_mm2_matches_running_sum_bit_for_bit(fill):
+    rng = np.random.default_rng(_FILLS.index(fill))
+    shapes = [(1, k, 1) for k in (0, 1, 2, 7, 8, 9, 33)] + [(3, 0, 4), (5, 1, 6), (1, 1, 1)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 24, size=3)) for _ in range(300)]
+    shapes += [(1, int(rng.integers(2, 40)), 1) for _ in range(30)]
+    for m, k, n in shapes:
+        a, b = _operands(rng, m, k, n, fill)
+        # backward passes transposed views, so k is not always the contiguous axis
+        for a_, b_ in ((a, b), (np.ascontiguousarray(a.T).T, b), (a, np.ascontiguousarray(b.T).T)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = _mm2(a_, b_), _running_sum_mm2(a_, b_)
+            assert _same_bits(got, want), (fill, m, k, n)
 
 
 def _blocks(rng, dims, rows=4):
