@@ -169,7 +169,7 @@ def solve_hidden_size(config: ModelConfig, budget: int, tolerance: int | None = 
     return best
 
 
-def emit_sizing_table(tasks=None, topologies=None, reference=None, csv_format: bool = False) -> str:
+def emit_sizing_table(csv_format: bool = False) -> str:
     """Solve the standard sizing grid and render it for comparison.
 
     Any solved size that disagrees with the reference grid is flagged in
@@ -178,19 +178,15 @@ def emit_sizing_table(tasks=None, topologies=None, reference=None, csv_format: b
     """
     from . import presets
 
-    tasks = tuple(tasks) if tasks is not None else tuple(presets.TASKS)
-    topologies = tuple(topologies) if topologies is not None else presets.STANDARD_TOPOLOGIES
-    if reference is None:
-        reference = presets.REFERENCE_SIZES
-
+    topologies = presets.STANDARD_TOPOLOGIES
     rows = []
-    for task in tasks:
+    for task in presets.TASKS:
         for budget in presets.default_budgets(task):
             cells = []
             for topo in topologies:
                 config = presets.model_config(task, topo)
                 h = solve_hidden_size(config, budget)
-                ref = reference.get((task, topo, budget))
+                ref = presets.REFERENCE_SIZES.get((task, topo, budget))
                 cells.append((topo, h, count_params(config, h), ref))
             rows.append((task, budget, cells))
 

@@ -92,8 +92,7 @@ def new_cell_params(kind: str, input_dim: int, hidden: int, rng: np.random.Gener
     return params
 
 
-def identity_recurrence_init(params: CellParams, rng: np.random.Generator,
-                             input_scale: float = 0.001) -> None:
+def identity_recurrence_init(params: CellParams, rng: np.random.Generator) -> None:
     """Identity recurrent matrix, zero bias, tiny gaussian input weights.
 
     Only defined for the relu simple cell; the scheme relies on relu being
@@ -105,7 +104,7 @@ def identity_recurrence_init(params: CellParams, rng: np.random.Generator,
     h = params.hidden
     params.u["h"].data[...] = np.eye(h)
     params.b["h"].data[...] = 0.0
-    params.w["h"].data[...] = rng.normal(0.0, input_scale, size=params.w["h"].shape)
+    params.w["h"].data[...] = rng.normal(0.0, 0.001, size=params.w["h"].shape)
 
 
 def glorot_init(params: CellParams, rng: np.random.Generator) -> None:

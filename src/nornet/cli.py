@@ -97,9 +97,7 @@ def _get(parser, section, key, cast, default=None, override=None):
     if raw == "":
         return default
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        return parser.getboolean(section, key) if cast is bool else cast(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
@@ -123,9 +121,12 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
     embedding_dim = _get(parser, "data", "embedding_dim", int, presets.TASKS[task]["input_dim"])
     classes = _get(parser, "model", "classes", int)
     model = presets.model_config(task, topology)
-    head = model.head if classes is None else HeadSpec(model.head.kind, classes)
-    model = ModelConfig(input_dim=embedding_dim, layers=model.layers, head=head,
-                        bidirectional=model.bidirectional)
+    try:
+        head = model.head if classes is None else HeadSpec(model.head.kind, classes)
+        model = ModelConfig(input_dim=embedding_dim, layers=model.layers, head=head,
+                            bidirectional=model.bidirectional)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     hidden = _get(parser, "model", "hidden", int, override=overrides.get("hidden"))
     budget = _get(parser, "model", "budget", int, override=overrides.get("budget"))
@@ -200,12 +201,15 @@ def echo_config(run: RunSettings, pad_length: int | None = None) -> str:
 
 
 def _load_corpus(run: RunSettings, path, vocab=None, names=None):
-    """One data file in the run's format.  Files after the training split
-    pass its vocabulary and label/tag table."""
+    """One data file in the run's format: its examples, vocabulary and
+    label/tag table.  Files after the training split pass its vocabulary
+    and table."""
     if run.fmt == "conll":
-        return load_conll(path, vocab=vocab, tag_names=names)
-    return load_classification_corpus(path, run.fmt, lowercase=run.lowercase,
-                                      vocab=vocab, label_names=names)
+        corpus = load_conll(path, vocab=vocab, tag_names=names)
+        return corpus.examples(), corpus.vocab, corpus.tag_names
+    corpus = load_classification_corpus(path, run.fmt, lowercase=run.lowercase,
+                                        vocab=vocab, label_names=names)
+    return corpus.examples(), corpus.vocab, corpus.label_names
 
 
 def _load_task_data(run: RunSettings):
@@ -216,20 +220,16 @@ def _load_task_data(run: RunSettings):
     """
     if run.train_path is None:
         raise ConfigError("no training data: set data.train or pass --train")
-    train_corpus = _load_corpus(run, run.train_path)
-    vocab = train_corpus.vocab
-    names = train_corpus.tag_names if run.fmt == "conll" else train_corpus.label_names
-
-    train_ex = train_corpus.examples()
+    train_ex, vocab, names = _load_corpus(run, run.train_path)
     if run.dev_path:
-        dev_ex = _load_corpus(run, run.dev_path, vocab, names).examples()
+        dev_ex = _load_corpus(run, run.dev_path, vocab, names)[0]
     else:
         off = run.train.seed % 10
         dev_ex = [ex for i, ex in enumerate(train_ex) if i % 10 == off]
         train_ex = [ex for i, ex in enumerate(train_ex) if i % 10 != off]
         if not dev_ex or not train_ex:
             raise CorpusError("training corpus too small to hold out a dev split")
-    test_ex = _load_corpus(run, run.test_path, vocab, names).examples() if run.test_path else None
+    test_ex = _load_corpus(run, run.test_path, vocab, names)[0] if run.test_path else None
 
     if len(names) != run.model.head.classes:
         raise ConfigError(
@@ -294,7 +294,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise CorpusError(f"cannot read checkpoint {args.checkpoint}: {exc}") from exc
     run = _resolve(_parse_ini(ckpt.config_text, args.checkpoint), {})
     model = build_model(run.model, ckpt.arrays["embedding"], ckpt.names,
@@ -302,7 +302,7 @@ def cmd_eval(args) -> int:
     model.load_state(ckpt.arrays)
 
     vocab = Vocabulary(tokens=list(ckpt.vocab_tokens))
-    examples = _load_corpus(run, args.data, vocab, ckpt.names).examples()
+    examples = _load_corpus(run, args.data, vocab, ckpt.names)[0]
     metric = model.evaluate(examples)
     kind = "entity_f1" if run.fmt == "conll" else "accuracy"
     note = (f"{len(examples)} examples" if run.train.pad_length is None
@@ -395,7 +395,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --seeds {args.seeds!r}: {exc}") from exc
     if not seeds:
         raise ConfigError("no seeds given")
     out_root = Path(args.out)

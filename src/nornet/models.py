@@ -1,4 +1,4 @@
-"""Model assembly: embedding + recurrent stack + head, plus checkpoint io.
+"""Model assembly: embedding + recurrent stacks + head, plus checkpoint io.
 
 Models hold frozen embeddings as a plain read-only array; only layer and
 head tensors appear in named_parameters(), which is what the optimizer
@@ -31,13 +31,10 @@ class CellLayer:
     """A single recurrent cell presented with the layer interface."""
 
     def __init__(self, kind: str, input_dim: int, hidden: int, rng: np.random.Generator):
-        self.kind = kind
-        self.input_dim = input_dim
-        self.out_dim = hidden
         self.params = new_cell_params(kind, input_dim, hidden, rng)
 
     def initial_state(self) -> CellState:
-        return zero_state(self.kind, self.out_dim)
+        return zero_state(self.params.kind, self.params.hidden)
 
     def step(self, x: Tensor, state: CellState):
         new = cell_step(x, state, self.params)
@@ -54,66 +51,55 @@ def _make_layer(spec, input_dim: int, hidden: int, rng: np.random.Generator):
     return NorLayer(topology, input_dim, rng)
 
 
-class _UniStack:
-    def __init__(self, layer):
-        self.layer = layer
-        self.out_dim = layer.out_dim
-
-    def run(self, inputs):
-        outputs, _ = unroll(self.layer, inputs)
-        return outputs
-
-    def named_parameters(self, prefix):
-        return self.layer.named_parameters(prefix)
-
-
-class _BiStack:
-    def __init__(self, fwd, bwd):
-        self.fwd = fwd
-        self.bwd = bwd
-        self.out_dim = fwd.out_dim + bwd.out_dim
-
-    def run(self, inputs):
-        return bidirectional_wrap(self.fwd, self.bwd, inputs)
-
-    def named_parameters(self, prefix):
-        out = self.fwd.named_parameters(f"{prefix}.fwd")
-        out.update(self.bwd.named_parameters(f"{prefix}.bwd"))
-        return out
-
-
-def _build_stack(config: ModelConfig, rng: np.random.Generator):
-    if config.hidden is None:
-        raise ValueError("config.hidden must be set to build a model")
-    stacks = []
-    d = config.input_dim
-    for spec in config.layers:
-        if config.bidirectional:
-            stack = _BiStack(_make_layer(spec, d, config.hidden, rng),
-                             _make_layer(spec, d, config.hidden, rng))
-        else:
-            stack = _UniStack(_make_layer(spec, d, config.hidden, rng))
-        stacks.append(stack)
-        d = stack.out_dim
-    return stacks, d
-
-
 class _ModelBase:
-    config: ModelConfig
-    embedding: np.ndarray
+    """Embed, run every stack, then the head a subclass names.
 
-    def _embed(self, tokens, rng, dropout, training):
+    A stack is a tuple of direction layers, (layer,) or (fwd, bwd); every
+    layer outputs `hidden` wide, so a stack outputs hidden * len(stack).
+    """
+
+    head_kind: str
+
+    def __init__(self, config: ModelConfig, embedding: np.ndarray,
+                 names: list[str], rng: np.random.Generator):
+        """names are the label or tag strings, in head order."""
+        if config.head.kind != self.head_kind:
+            raise ValueError(f"{type(self).__name__} needs a {self.head_kind} head")
+        if len(names) != config.head.classes:
+            raise ValueError(f"{len(names)} names for {config.head.classes} classes")
+        if config.hidden is None:
+            raise ValueError("config.hidden must be set to build a model")
+        self.config = config
+        self.embedding = embedding
+        self.names = list(names)
+        self.stacks: list[tuple] = []
+        d = config.input_dim
+        for spec in config.layers:
+            stack = tuple(_make_layer(spec, d, config.hidden, rng)
+                          for _ in range(2 if config.bidirectional else 1))
+            self.stacks.append(stack)
+            d = config.hidden * len(stack)
+        self.head = self._new_head(d, config.head.classes, rng)
+
+    def _embed(self, tokens) -> list[Tensor]:
         if not tokens:
             raise ValueError("empty token sequence")
-        xs = [Tensor(self.embedding[i]) for i in tokens]
-        if training and dropout > 0.0:
-            xs = [apply_dropout(x, dropout, rng, True) for x in xs]
+        return [Tensor(self.embedding[i]) for i in tokens]
+
+    def _encode(self, tokens, rng, dropout, training) -> list[Tensor]:
+        xs = self._embed(tokens)
+        if training:
+            xs = [apply_dropout(x, dropout, rng) for x in xs]
+        for stack in self.stacks:
+            xs = unroll(stack[0], xs)[0] if len(stack) == 1 else bidirectional_wrap(*stack, xs)
         return xs
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for i, stack in enumerate(self.stacks):
-            out.update(stack.named_parameters(f"layer{i}"))
+            suffixes = ("",) if len(stack) == 1 else (".fwd", ".bwd")
+            for layer, suffix in zip(stack, suffixes):
+                out.update(layer.named_parameters(f"layer{i}{suffix}"))
         out.update(self.head.named())
         return out
 
@@ -132,28 +118,15 @@ class _ModelBase:
 
 
 class SequenceClassifier(_ModelBase):
-    """Embed, run the stack, max-pool over time, classify."""
+    """Embed, run the stacks, max-pool over time, classify."""
 
-    def __init__(self, config: ModelConfig, embedding: np.ndarray,
-                 label_names: list[str], rng: np.random.Generator):
-        if config.head.kind != "softmax":
-            raise ValueError("classifier needs a softmax head")
-        if len(label_names) != config.head.classes:
-            raise ValueError(f"{len(label_names)} label names for "
-                             f"{config.head.classes} classes")
-        self.config = config
-        self.embedding = embedding
-        self.label_names = list(label_names)
-        self.stacks, feat_dim = _build_stack(config, rng)
-        self.head = new_softmax_head(feat_dim, config.head.classes, rng)
+    head_kind = "softmax"
+    _new_head = staticmethod(new_softmax_head)
 
     def _features(self, tokens, rng, dropout, training):
-        xs = self._embed(tokens, rng, dropout, training)
-        for stack in self.stacks:
-            xs = stack.run(xs)
-        pooled = max_pool_over_time(xs)
-        if training and dropout > 0.0:
-            pooled = apply_dropout(pooled, dropout, rng, True)
+        pooled = max_pool_over_time(self._encode(tokens, rng, dropout, training))
+        if training:
+            pooled = apply_dropout(pooled, dropout, rng)
         return pooled
 
     def loss(self, tokens, label: int, rng=None, dropout: float = 0.0,
@@ -171,25 +144,13 @@ class SequenceClassifier(_ModelBase):
 
 
 class SequenceTagger(_ModelBase):
-    """Embed, run the stack, project per-step emissions, CRF decode."""
+    """Embed, run the stacks, project per-step emissions, CRF decode."""
 
-    def __init__(self, config: ModelConfig, embedding: np.ndarray,
-                 tag_names: list[str], rng: np.random.Generator):
-        if config.head.kind != "crf":
-            raise ValueError("tagger needs a crf head")
-        if len(tag_names) != config.head.classes:
-            raise ValueError(f"{len(tag_names)} tag names for "
-                             f"{config.head.classes} tags")
-        self.config = config
-        self.embedding = embedding
-        self.tag_names = list(tag_names)
-        self.stacks, feat_dim = _build_stack(config, rng)
-        self.head = new_crf_head(feat_dim, config.head.classes, rng)
+    head_kind = "crf"
+    _new_head = staticmethod(new_crf_head)
 
     def _emissions(self, tokens, rng, dropout, training) -> Tensor:
-        xs = self._embed(tokens, rng, dropout, training)
-        for stack in self.stacks:
-            xs = stack.run(xs)
+        xs = self._encode(tokens, rng, dropout, training)
         rows = [reshape(self.head.emission(h), (1, self.head.tags)) for h in xs]
         return concat(rows, axis=0)
 
@@ -206,8 +167,8 @@ class SequenceTagger(_ModelBase):
     def evaluate(self, examples) -> float:
         preds, golds = [], []
         for tokens, tags in examples:
-            preds.append([self.tag_names[t] for t in self.predict(tokens)])
-            golds.append([self.tag_names[t] for t in tags])
+            preds.append([self.names[t] for t in self.predict(tokens)])
+            golds.append([self.names[t] for t in tags])
         _, _, f1 = data_io.entity_f1(preds, golds)
         return f1
 
@@ -228,6 +189,7 @@ def build_model(config: ModelConfig, embedding: np.ndarray, names: list[str],
 # float64 exactly, so save -> load -> save is byte-identical.
 
 _MAGIC = "nornet-checkpoint 1"
+_SECTIONS = (("config", 1), ("vocab", 1), ("names", 1), ("params", 2))  # (tag, lines per entry)
 
 
 @dataclass
@@ -239,63 +201,51 @@ class Checkpoint:
 
 
 def save_checkpoint(path, model, config_text: str, vocab_tokens: list[str]) -> None:
-    names = model.label_names if isinstance(model, SequenceClassifier) else model.tag_names
     arrays = {name: p.data for name, p in model.named_parameters().items()}
     arrays["embedding"] = model.embedding
+    params = []
+    for name in sorted(arrays):
+        arr = arrays[name]
+        params.append(" ".join([name, str(arr.ndim), *map(str, arr.shape)]))
+        params.append(" ".join(f"{v:.17g}" for v in arr.reshape(-1)))
+    bodies = (config_text.splitlines(), vocab_tokens, model.names, params)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_MAGIC + "\n")
-        cfg_lines = config_text.splitlines()
-        fh.write(f"[config] {len(cfg_lines)}\n")
-        for line in cfg_lines:
-            fh.write(line + "\n")
-        fh.write(f"[vocab] {len(vocab_tokens)}\n")
-        for tok in vocab_tokens:
-            fh.write(tok + "\n")
-        fh.write(f"[names] {len(names)}\n")
-        for n in names:
-            fh.write(n + "\n")
-        fh.write(f"[params] {len(arrays)}\n")
-        for name in sorted(arrays):
-            arr = arrays[name]
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"{name} {arr.ndim} {dims}".rstrip() + "\n")
-            fh.write(" ".join(f"{v:.17g}" for v in arr.reshape(-1)) + "\n")
+        for (tag, per), body in zip(_SECTIONS, bodies):
+            fh.write(f"[{tag}] {len(body) // per}\n")
+            fh.writelines(line + "\n" for line in body)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed part raises ValueError naming the
+    file and the section."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    if not lines or lines[0] != _MAGIC:
+    if lines[-1] == "":
+        lines.pop()
+    if lines[:1] != [_MAGIC]:
         raise ValueError(f"{path}: not a checkpoint file")
-    at = 1
-
-    def block(tag):
-        nonlocal at
-        head = lines[at]
-        if not head.startswith(f"[{tag}] "):
-            raise ValueError(f"{path}: expected [{tag}] section, found {head!r}")
-        count = int(head.split()[1])
-        at += 1
-        body = lines[at:at + count]
-        at += count
-        return body
-
-    cfg = "\n".join(block("config"))
-    vocab_tokens = block("vocab")
-    names = block("names")
-    head = lines[at]
-    if not head.startswith("[params] "):
-        raise ValueError(f"{path}: expected [params] section, found {head!r}")
-    n_params = int(head.split()[1])
-    at += 1
+    at, body = 1, {}
+    for tag, per in _SECTIONS:
+        head = lines[at] if at < len(lines) else "end of file"
+        label, _, count = head.partition(" ")
+        if label != f"[{tag}]" or not count.isdigit():
+            raise ValueError(f"{path}: [{tag}] section: expected '[{tag}] <count>', found {head!r}")
+        n, left = int(count) * per, len(lines) - at - 1
+        if n > left:
+            raise ValueError(f"{path}: [{tag}] section: {count} entries need {n} lines, {left} left")
+        body[tag] = lines[at + 1:at + 1 + n]
+        at += 1 + n
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        meta = lines[at].split()
-        at += 1
-        name, ndim = meta[0], int(meta[1])
-        shape = tuple(int(d) for d in meta[2:2 + ndim])
-        values = np.array([float(v) for v in lines[at].split()])
-        at += 1
-        arrays[name] = values.reshape(shape)
-    return Checkpoint(config_text=cfg, vocab_tokens=vocab_tokens,
-                      names=names, arrays=arrays)
+    for meta, values in zip(body["params"][0::2], body["params"][1::2]):
+        name, *fields = meta.split(" ")
+        try:
+            ndim, *shape = map(int, fields)
+            data = np.array([float(v) for v in values.split()])
+            if len(shape) != ndim or data.size != np.prod(shape):
+                raise ValueError(f"shape {fields} does not hold {data.size} values")
+            arrays[name] = data.reshape(shape)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [params] section: array {name!r}: {exc}") from None
+    return Checkpoint(config_text="\n".join(body["config"]), vocab_tokens=body["vocab"],
+                      names=body["names"], arrays=arrays)

@@ -173,7 +173,7 @@ class NorLayer:
     def __init__(self, topology: NorTopology, input_dim: int, rng: np.random.Generator):
         self.topology = topology
         self.input_dim = input_dim
-        self.out_dim = h_out = topology.hidden
+        h_out = topology.hidden
         cells, concat_dim = topology.plan(input_dim)
         self.cells: list[list[CellParams]] = [
             [new_cell_params(kind, d, hidden, rng) for kind, d, hidden in tiers]

@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeError", "grad_check", "GradCheckReport",
     "add", "sub", "neg", "scale", "elementwise_mul", "matmul", "block_matmul", "maximum",
-    "relu", "sigmoid", "tanh", "concat", "reshape", "softmax_rows",
+    "relu", "sigmoid", "tanh", "concat", "reshape",
     "log_sum_exp", "reduce_sum",
 ]
 
@@ -48,10 +48,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -355,20 +351,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
     out = a.data.reshape(shape)
     return _emit("reshape", out, (a,), lambda g: (np.asarray(g).reshape(orig),))
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax along the last axis (a 1-D input is one row)."""
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _emit("softmax_rows", out, (a,), bwd)
 
 
 def log_sum_exp(a: Tensor) -> Tensor:

@@ -88,14 +88,13 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def apply_dropout(x: Tensor, rate: float, rng: np.random.Generator,
-                  training: bool) -> Tensor:
+def apply_dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability rate and scale the
-    survivors by 1/(1-rate), so the expectation matches the input.  Outside
-    training this is the identity."""
+    survivors by 1/(1-rate), so the expectation matches the input.  Rate 0
+    is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= rate).astype(np.float64)
     mask = Tensor(keep * (1.0 / (1.0 - rate)))

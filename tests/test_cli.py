@@ -92,6 +92,18 @@ def test_unknown_keys_and_sections_are_config_errors(tmp_path):
         resolve_run(bad, {})
 
 
+@pytest.mark.parametrize("section, key, value", [("model", "classes", "0"),
+                                                 ("data", "embedding_dim", "0"),
+                                                 ("data", "lowercase", "ture")])
+def test_rejected_config_values_are_config_errors(workspace, capsys, section, key, value):
+    tmp, config = workspace
+    _write_config(config, tmp / "train.txt", **{section: {key: value}})
+    with pytest.raises(ConfigError):
+        resolve_run(config, {})
+    assert main(["train", "--config", str(config), "--out", str(tmp / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_train_writes_outputs(workspace, capsys):
     tmp, config = workspace
     code = main(["train", "--config", str(config), "--out", str(tmp / "out")])
@@ -127,11 +139,14 @@ def test_eval_reads_checkpoint(workspace, capsys):
 
 def test_eval_rejects_a_file_that_is_not_a_checkpoint(workspace, capsys):
     tmp, config = workspace
-    for text in ("not a checkpoint\n", "nornet-checkpoint 1\n[config] 3\n"):
+    params = "nornet-checkpoint 1\n[config] 0\n[vocab] 0\n[names] 0\n[params] 1\n"
+    for text in ("not a checkpoint\n", "nornet-checkpoint 1\n[config] 3\n",
+                 "nornet-checkpoint 1\n[config] x\n", params + "w 2 2 3\n1 2 3 4 5\n"):
         (tmp / "bogus.ckpt").write_text(text, encoding="utf-8")
         code = main(["eval", "--checkpoint", str(tmp / "bogus.ckpt"), "--data", str(tmp / "train.txt")])
         assert code == 3
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{tmp / 'bogus.ckpt'}: " in err
 
 
 def test_eval_reads_tagger_checkpoint(tmp_path, capsys):
@@ -266,3 +281,10 @@ def test_sweep_single_seed(workspace, capsys):
                  "--out", str(tmp / "sw1")]) == 0
     out = capsys.readouterr().out
     assert "seeds 1" in out and "std 0.000000" in out
+
+
+def test_sweep_rejects_non_integer_seeds(workspace, capsys):
+    tmp, config = workspace
+    assert main(["sweep", "--config", str(config), "--seeds", "a,b",
+                 "--out", str(tmp / "sw")]) == 2
+    assert "--seeds" in capsys.readouterr().err

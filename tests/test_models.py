@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,26 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not a checkpoint\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+_HEADER = "nornet-checkpoint 1\n"
+MALFORMED_CHECKPOINTS = {
+    "truncated section": (_HEADER + "[config] 3\n", "[config]"),
+    "non-integer count": (_HEADER + "[config] x\n", "[config]"),
+    "wrong value count": (_HEADER + "[config] 0\n[vocab] 0\n[names] 0\n[params] 1\n"
+                          "w 2 2 3\n1 2 3 4 5\n", "[params]"),
+    "missing values line": (_HEADER + "[config] 0\n[vocab] 0\n[names] 0\n[params] 1\n"
+                            "w 1 2\n", "[params]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_checkpoint_reader_names_file_and_section(tmp_path, case):
+    text, section = MALFORMED_CHECKPOINTS[case]
+    path = tmp_path / "bad.ckpt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {section} section")):
         load_checkpoint(path)
 
 

@@ -8,7 +8,7 @@ import pytest
 from nornet.tensor import (ShapeError, Tape, Tensor, _mm2, add, block_matmul, concat,
                            elementwise_mul, grad_check, log_sum_exp, matmul,
                            maximum, neg, reduce_sum, relu, reshape, scale,
-                           sigmoid, slice_, softmax_rows, sub, tanh)
+                           sigmoid, slice_, sub, tanh)
 
 
 def test_matmul_matches_numpy_dot():
@@ -314,15 +314,6 @@ def test_sigmoid_stable_at_extremes():
     y = sigmoid(Tensor(np.array([-800.0, 0.0, 800.0]))).data
     assert y[0] == 0.0 and y[1] == 0.5 and y[2] == 1.0
     assert np.all(np.isfinite(y))
-
-
-def test_softmax_rows_oracle():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(3, 5)) * 10
-    got = softmax_rows(Tensor(x)).data
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    np.testing.assert_allclose(got, e / e.sum(axis=-1, keepdims=True), rtol=1e-14)
-    np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=1e-12)
 
 
 def test_log_sum_exp_matches_oracle_and_survives_large_inputs():

@@ -42,19 +42,17 @@ def test_adam_rejects_shape_mismatch():
         adam_step({"p": p}, {"p": np.zeros(3)}, state, lr=0.1)
 
 
-def test_dropout_identity_outside_training_and_at_zero_rate():
+def test_dropout_identity_at_zero_rate():
     x = Tensor(np.ones(8))
-    rng = np.random.default_rng(70)
-    assert apply_dropout(x, 0.5, rng, training=False) is x
-    assert apply_dropout(x, 0.0, rng, training=True) is x
+    assert apply_dropout(x, 0.0, np.random.default_rng(70)) is x
 
 
 def test_dropout_mask_values_and_expectation():
     x = Tensor(np.ones(10_000))
-    y = apply_dropout(x, 0.5, np.random.default_rng(71), training=True).data
+    y = apply_dropout(x, 0.5, np.random.default_rng(71)).data
     assert set(np.unique(y)) <= {0.0, 2.0}
     assert y.mean() == pytest.approx(1.0, abs=0.05)
-    y25 = apply_dropout(x, 0.25, np.random.default_rng(72), training=True).data
+    y25 = apply_dropout(x, 0.25, np.random.default_rng(72)).data
     assert set(np.unique(y25)) <= {0.0, 1.0 / 0.75}
     assert y25.mean() == pytest.approx(1.0, abs=0.05)
 
@@ -63,9 +61,9 @@ def test_dropout_rate_bounds():
     x = Tensor(np.ones(2))
     rng = np.random.default_rng(73)
     with pytest.raises(ValueError):
-        apply_dropout(x, 1.0, rng, True)
+        apply_dropout(x, 1.0, rng)
     with pytest.raises(ValueError):
-        apply_dropout(x, -0.1, rng, True)
+        apply_dropout(x, -0.1, rng)
 
 
 class Scripted:
