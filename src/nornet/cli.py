@@ -60,7 +60,7 @@ class RunSettings:
     test_path: str | None
     embeddings_path: str | None
     embedding_dim: int
-    lowercase: bool
+    lowercase: bool | None   # None for conll, whose loader keeps case
     budget: int | None
 
 
@@ -154,6 +154,9 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
         raise ConfigError(str(exc)) from exc
 
     fmt = _get(parser, "data", "format", str, presets.TASKS[task]["fmt"])
+    lowercase = _get(parser, "data", "lowercase", bool, None if fmt == "conll" else True)
+    if fmt == "conll" and lowercase is not None:
+        raise ConfigError("data.lowercase does not apply to format conll, which keeps case")
     return RunSettings(
         task=task, topology=topology, model=model, train=train_cfg, fmt=fmt,
         train_path=_get(parser, "data", "train", str, override=overrides.get("train")),
@@ -161,7 +164,7 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
         test_path=_get(parser, "data", "test", str, override=overrides.get("test")),
         embeddings_path=_get(parser, "data", "embeddings", str),
         embedding_dim=embedding_dim,
-        lowercase=_get(parser, "data", "lowercase", bool, True),
+        lowercase=lowercase,
         budget=budget,
     )
 
@@ -187,11 +190,9 @@ def echo_config(run: RunSettings, pad_length: int | None = None) -> str:
         parser["train"]["pad_length"] = str(pad_length)
     elif t.pad_length is not None:
         parser["train"]["pad_length"] = str(t.pad_length)
-    parser["data"] = {
-        "format": run.fmt,
-        "embedding_dim": str(run.embedding_dim),
-        "lowercase": str(run.lowercase).lower(),
-    }
+    parser["data"] = {"format": run.fmt, "embedding_dim": str(run.embedding_dim)}
+    if run.lowercase is not None:
+        parser["data"]["lowercase"] = str(run.lowercase).lower()
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

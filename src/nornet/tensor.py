@@ -134,14 +134,28 @@ class Tape:
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Gradients of loss for the leaves it reaches; an op's partial is
-        dropped once passed on to its inputs."""
+        dropped once passed on to its inputs.  An op may hand an input a
+        factor pair (L, R) for the gradient L @ R.  A node's pairs are added
+        into its partial as one product, hstack(Ls) @ vstack(Rs), when the
+        sweep reaches the node or once their summed rank reaches min(m, k) of
+        its (m, k) shape, which keeps the held factors within twice its size."""
         if loss._tape is not self:
             raise ValueError("loss tensor was not produced on this tape")
         if loss.data.size != 1:
             raise ShapeError(f"loss must be scalar-shaped, got {loss.data.shape}")
         partial: list[np.ndarray | None] = [None] * len(self.nodes)
         partial[loss.node_id] = np.ones_like(loss.data)
+        held: dict[int, list] = {}   # node -> [summed rank, factor pairs]
+        def flush(nid):
+            pairs = held.pop(nid, (0, ()))[1]
+            if pairs:
+                prod = _bmm(np.hstack([l for l, _ in pairs]), np.vstack([r for _, r in pairs]))
+                if partial[nid] is not None:
+                    prod += partial[nid]
+                partial[nid] = prod
+
         for nid in range(loss.node_id, -1, -1):
+            flush(nid)
             g = partial[nid]
             node = self.nodes[nid]
             if g is None or node.backward is None:
@@ -149,6 +163,13 @@ class Tape:
             partial[nid] = None
             for iid, gi in zip(node.inputs, node.backward(g)):
                 if gi is None:
+                    continue
+                if isinstance(gi, tuple):
+                    entry = held.setdefault(iid, [0, []])
+                    entry[0] += gi[0].shape[1]
+                    entry[1].append(gi)
+                    if entry[0] >= min(self.nodes[iid].shape):
+                        flush(iid)
                     continue
                 if partial[iid] is None:
                     partial[iid] = np.zeros(self.nodes[iid].shape)
@@ -173,13 +194,16 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 
 # --- reductions ------------------------------------------------------------
 #
-# Matrix products add their terms strictly left to right instead of using
-# BLAS.  Sequential accumulation is what makes two of the library's
+# Forward matrix products add their terms strictly left to right instead of
+# using BLAS.  Sequential accumulation is what makes two of the library's
 # guarantees hold at the bit level: summands that are exactly zero never
 # perturb the result, so a weight matrix padded with zero blocks computes
 # bit-identical outputs to its unpadded form regardless of how the platform
 # BLAS would regroup the terms.  The order rests on numpy reducing a leading
-# axis one row at a time, as checked on numpy 2.4.6.
+# axis one row at a time, as checked on numpy 2.4.6.  No bitwise claim rests
+# on gradients, so backward products use BLAS (numpy @; an inner dimension of
+# 1 stays a * b), and a gradient toward a 2-D left operand (a weight) goes to
+# the tape as a factor pair, multiplied out in bulk by Tape.backward.
 
 
 def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,8 +224,14 @@ def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(prod, axis=0, initial=-0.0)
 
 
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, k) @ (k, n) for gradients: BLAS, or a * b when k == 1."""
+    return a * b if a.shape[1] == 1 else a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands, 1-D treated as vector."""
+    """Matrix product for 1-D/2-D operands, 1-D treated as vector.  Ordered
+    forward (_mm2), BLAS gradients; a 2-D left operand gets the pair (g, Bᵀ)."""
     A, B = a.data, b.data
     if A.ndim not in (1, 2) or B.ndim not in (1, 2):
         raise ShapeError(f"matmul expects 1-D or 2-D operands, got {A.shape} and {B.shape}")
@@ -223,9 +253,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g2 = np.asarray(g).reshape(A2.shape[0], B2.shape[1])
-        ga = _mm2(g2, B2.T).reshape(A.shape)
-        gb = _mm2(A2.T, g2).reshape(B.shape)
-        return ga, gb
+        ga = (g2, B2.T) if A.ndim == 2 else _bmm(g2, B2.T).reshape(A.shape)
+        return ga, _bmm(A2.T, g2).reshape(B.shape)
 
     return _emit("matmul", out, (a, b), bwd)
 
@@ -242,7 +271,7 @@ def block_matmul(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
     blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
     prods = sorted([_mm2(b, x[:, None])[:, 0] for b, x in zip(blocks, xs)], key=np.ndarray.tobytes)
     return _emit("block_matmul", sum(prods[1:], prods[0]), (w, *parts), lambda g: (
-        np.outer(g, np.concatenate(xs)), *(_mm2(b.T, g[:, None])[:, 0] for b in blocks)))
+        (g[:, None], np.concatenate(xs)[None, :]), *(g @ b for b in blocks)))
 
 
 def _same_shape(a, b, op):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nornet.budget import solve_hidden_size
-from nornet.cli import ConfigError, main, resolve_run
+from nornet.cli import ConfigError, echo_config, main, resolve_run
 from nornet.data import Vocabulary, load_conll
 from nornet.models import build_model, load_checkpoint
 
@@ -102,6 +102,29 @@ def test_rejected_config_values_are_config_errors(workspace, capsys, section, ke
         resolve_run(config, {})
     assert main(["train", "--config", str(config), "--out", str(tmp / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_lowercase_with_conll_format_is_a_config_error(tmp_path, capsys):
+    # load_conll keeps case, so a lowercase setting there would be ignored
+    corpus = tmp_path / "ner.txt"
+    corpus.write_text("Rome B-LOC\nis O\n\nROME B-LOC\nis O\n", encoding="utf-8")
+    config = tmp_path / "ner.ini"
+    for value in ("true", "false"):
+        _write_config(config, corpus, model={"task": "conll", "topology": "irnn", "classes": "3"},
+                      data={"format": "conll", "lowercase": value})
+        with pytest.raises(ConfigError, match="lowercase"):
+            resolve_run(config, {})
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "lowercase" in capsys.readouterr().err
+
+
+def test_echoed_config_omits_lowercase_for_conll(workspace):
+    tmp, config = workspace
+    assert "lowercase = true" in echo_config(resolve_run(config, {}))
+    _write_config(config, tmp / "train.txt", model={"task": "conll", "topology": "irnn", "classes": "3"},
+                  data={"format": "conll"})
+    run = resolve_run(config, {})
+    assert run.lowercase is None and "lowercase" not in echo_config(run)
 
 
 def test_train_writes_outputs(workspace, capsys):

@@ -156,6 +156,58 @@ def test_backward_through_affine_chain():
     np.testing.assert_array_equal(tape.grad(b), np.ones(2))
 
 
+def _weighted_sum(y: Tensor, c: np.ndarray) -> Tensor:
+    # loss whose gradient toward y is exactly c
+    return reduce_sum(elementwise_mul(y, Tensor(c)))
+
+
+def test_weight_used_once_gets_the_exact_outer_product():
+    rng = np.random.default_rng(20)
+    w, x, c = Tensor(rng.normal(size=(4, 3))), rng.normal(size=3), rng.normal(size=4)
+    with Tape() as tape:
+        tape.backward(_weighted_sum(matmul(w, Tensor(x)), c))
+    assert tape.grad(w).tobytes() == np.outer(c, x).tobytes()
+    wb, parts = _blocks(rng, (2, 3))
+    with Tape() as tape:
+        tape.backward(_weighted_sum(block_matmul(wb, parts), c))
+    xs = np.concatenate([p.data for p in parts])
+    assert tape.grad(wb).tobytes() == np.outer(c, xs).tobytes()
+
+
+def test_weight_used_past_the_flush_rank_matches_fsum():
+    # min(m, k) = 3, so 10 uses flush the held factor pairs three times
+    # before the sweep reaches the leaf
+    rng = np.random.default_rng(21)
+    w = Tensor(rng.normal(size=(3, 5)))
+    xs, cs = rng.normal(size=(10, 5)), rng.normal(size=(10, 3))
+    with Tape() as tape:
+        losses = [_weighted_sum(matmul(w, Tensor(x)), c) for x, c in zip(xs, cs)]
+        tape.backward(reduce_sum(concat([reshape(l, (1,)) for l in losses])))
+    want = np.array([[math.fsum(cs[:, i] * xs[:, j]) for j in range(5)] for i in range(3)])
+    np.testing.assert_allclose(tape.grad(w), want, rtol=1e-12, atol=0)
+
+
+def test_non_leaf_left_operand_adds_dense_and_factor_gradients():
+    rng = np.random.default_rng(22)
+    w, x = Tensor(rng.normal(size=(3, 4))), rng.normal(size=4)
+    c, d = rng.normal(size=3), rng.normal(size=(3, 4))
+    with Tape() as tape:
+        w2 = scale(w, 2.0)   # a 2-D op result: dense gradient from the mul, a pair from matmul
+        tape.backward(add(_weighted_sum(matmul(w2, Tensor(x)), c), _weighted_sum(w2, d)))
+    np.testing.assert_allclose(tape.grad(w), 2.0 * (np.outer(c, x) + d), rtol=1e-14)
+
+
+def test_one_dimensional_left_operand_gets_a_dense_gradient():
+    rng = np.random.default_rng(23)
+    x, w, g = rng.normal(size=4), rng.normal(size=(4, 3)), rng.normal(size=3)
+    with Tape() as tape:
+        y = matmul(Tensor(x), Tensor(w))
+        gx, gw = tape.nodes[y.node_id].backward(g)
+    assert isinstance(gx, np.ndarray) and gx.shape == (4,)
+    np.testing.assert_allclose(gx, w @ g, rtol=1e-14)
+    assert gw.tobytes() == np.outer(x, g).tobytes()
+
+
 def test_backward_keeps_only_leaf_gradients():
     w = Tensor(np.arange(6.0).reshape(2, 3))
     x = Tensor(np.ones(3))

@@ -1,10 +1,12 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "ab_bench", Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py")
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
 ab_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_bench)
 
@@ -26,3 +28,12 @@ def test_ab_compare_counts_wins_and_resolves_against_the_parent_iqr():
 def test_ab_compare_flags_a_median_past_its_bound(better, change, beyond):
     spec = {"name": "m", "better": better, "bound": 0.25}
     assert ab_bench.compare(spec, [100.0, 100.0, 100.0], change)["beyond_bound"] is beyond
+
+
+def test_grad_diff_of_a_tree_against_itself_is_zero():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "grad_diff.py"), str(ROOT), str(ROOT)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 16 and lines[0].startswith("trec/irnn ")
+    assert all(" loss bit-identical " in line and line.endswith(" 0.000e+00") for line in lines)
