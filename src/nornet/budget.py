@@ -2,10 +2,10 @@
 
 Counts cover trainable parameters only: cell weights and biases, combiner
 weights and biases, head projection and biases, and CRF transitions.  The
-frozen embedding table is excluded.  A composite layer is counted from
-NorTopology.plan, the same shape plan NorLayer builds from, and every cell
-from the gate vocabulary in cells.GATE_NAMES that allocates its matrices,
-so counts and instantiated models cannot drift apart.
+frozen embedding table is excluded.  A layer is counted from
+LayerSpec.plan, the same shape plan nor.make_layer builds from, and every
+cell from the gate vocabulary in cells.GATE_NAMES that allocates its
+matrices, so counts and instantiated models cannot drift apart.
 """
 
 from __future__ import annotations
@@ -14,39 +14,16 @@ import math
 from dataclasses import dataclass
 
 from .cells import GATE_NAMES
-from .nor import LAYER_KINDS, NorTopology
+from .nor import LayerSpec
 
 __all__ = [
     "LayerSpec", "HeadSpec", "ModelConfig", "BudgetError",
-    "layer_topology", "count_params", "solve_hidden_size", "emit_sizing_table",
+    "count_params", "solve_hidden_size", "emit_sizing_table",
 ]
 
 
 class BudgetError(ValueError):
     """Raised when a parameter budget cannot be met."""
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One recurrent layer: a plain cell or a composite topology.
-
-    n (the subnetwork count, as in NorTopology) and wiring pick the kind's
-    default when None.  A composite spec is checked by the topology it
-    builds; a plain cell takes neither.
-    """
-
-    kind: str
-    n: int | tuple[int, int] | None = None
-    wiring: str | None = None
-
-    def __post_init__(self):
-        entry = LAYER_KINDS.get(self.kind)
-        if entry is None:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if entry.default_n is not None:
-            layer_topology(self, 1)
-        elif self.n is not None or self.wiring is not None:
-            raise ValueError(f"plain layer kind {self.kind!r} takes no subnetwork count or wiring")
 
 
 @dataclass(frozen=True)
@@ -88,14 +65,6 @@ class ModelConfig:
                            self.bidirectional, hidden)
 
 
-def layer_topology(spec: LayerSpec, hidden: int) -> NorTopology | None:
-    """Topology for a composite layer spec; None for plain cells."""
-    default_n = LAYER_KINDS[spec.kind].default_n
-    if default_n is None:
-        return None
-    return NorTopology(spec.kind, default_n if spec.n is None else spec.n, hidden, spec.wiring)
-
-
 def _cell_count(kind: str, input_dim: int, hidden: int) -> int:
     # input matrix, recurrent matrix and bias for each gate
     return len(GATE_NAMES[kind]) * (input_dim * hidden + hidden * hidden + hidden)
@@ -112,15 +81,10 @@ def count_params(config: ModelConfig, hidden: int | None = None) -> int:
     total = 0
     d = config.input_dim
     for spec in config.layers:
-        topo = layer_topology(spec, h)
-        if topo is None:
-            layer = _cell_count(spec.kind, d, h)
-        else:
-            cells, combiner_in = topo.plan(d)
-            layer = topo.hidden * (combiner_in + 1)
-            for tiers in cells:
-                for cell in tiers:
-                    layer += _cell_count(*cell)
+        cells, combiner_in = spec.plan(d, h)
+        layer = sum(_cell_count(*cell) for tiers in cells for cell in tiers)
+        if combiner_in is not None:
+            layer += h * (combiner_in + 1)
         total += directions * layer
         d = directions * h
     k = config.head.classes

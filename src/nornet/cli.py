@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .budget import (BudgetError, HeadSpec, LayerSpec, ModelConfig, count_params,
-                     solve_hidden_size)
-from .data import (CorpusError, CorpusSplits, Vocabulary, load_classification_corpus,
-                   load_conll, load_embeddings, random_embeddings)
-from .models import CellLayer, _make_layer, build_model, load_checkpoint, save_checkpoint
-from .nor import LAYER_KINDS, unroll
+from .budget import BudgetError, HeadSpec, ModelConfig, count_params, solve_hidden_size
+from .data import (UNK_TOKEN, CorpusError, CorpusSplits, Vocabulary,
+                   load_classification_corpus, load_conll, load_embeddings, random_embeddings)
+from .models import build_model, load_checkpoint, save_checkpoint
+from .nor import LAYER_KINDS, LayerSpec, make_layer, unroll
 from .tensor import Tensor, add, concat, grad_check, reduce_sum
 from .training import NumericError, TrainConfig, train, write_metric_log
 
@@ -297,10 +296,22 @@ def cmd_eval(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
     except ValueError as exc:
         raise CorpusError(f"cannot read checkpoint {args.checkpoint}: {exc}") from exc
-    run = _resolve(_parse_ini(ckpt.config_text, args.checkpoint), {})
-    model = build_model(run.model, ckpt.arrays["embedding"], ckpt.names,
-                        np.random.default_rng(0))
-    model.load_state(ckpt.arrays)
+    parser = _parse_ini(ckpt.config_text, args.checkpoint)
+    if parser.get("data", "format", fallback=None) == "conll":
+        # checkpoints written before the key became an error for conll hold it
+        parser.remove_option("data", "lowercase")
+    run = _resolve(parser, {})
+    try:
+        if UNK_TOKEN not in ckpt.vocab_tokens:
+            raise ValueError(f"its vocabulary lacks {UNK_TOKEN}")
+        table = ckpt.arrays.get("embedding")
+        rows, width = len(ckpt.vocab_tokens), run.model.input_dim
+        if table is None or table.shape != (rows, width):
+            raise ValueError(f"it holds no {rows} x {width} embedding table")
+        model = build_model(run.model, table, ckpt.names, np.random.default_rng(0))
+        model.load_state(ckpt.arrays)
+    except ValueError as exc:
+        raise CorpusError(f"checkpoint {args.checkpoint} is inconsistent: {exc}") from exc
 
     vocab = Vocabulary(tokens=list(ckpt.vocab_tokens))
     examples = _load_corpus(run, args.data, vocab, ckpt.names)[0]
@@ -355,8 +366,9 @@ def _gradcheck_scenario(kind: str, input_dim: int, hidden: int, steps: int,
     if layer_kind not in LAYER_KINDS:
         raise ConfigError(f"unknown gradcheck kind {kind!r}; choose from "
                           f"{_GRADCHECK_KINDS} or a layer kind")
-    layer = _make_layer(LayerSpec(kind=layer_kind), input_dim, hidden, rng)
-    params = layer.named_parameters("cell" if isinstance(layer, CellLayer) else "layer")
+    spec = LayerSpec(kind=layer_kind)
+    layer = make_layer(spec, input_dim, hidden, rng)
+    params = layer.named_parameters("cell" if spec.n is None else "layer")
     # keep the loss surface away from relu kinks: moderate random weights
     for p in params.values():
         p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)

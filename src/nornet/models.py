@@ -11,44 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import ModelConfig, layer_topology
-from .cells import CellState, cell_step, new_cell_params, zero_state
+from .budget import ModelConfig
 from .heads import (crf_neg_log_likelihood, crf_viterbi_decode,
                     max_pool_over_time, new_crf_head, new_softmax_head,
                     softmax_cross_entropy)
-from .nor import NorLayer, bidirectional_wrap, unroll
+from .nor import bidirectional_wrap, make_layer, unroll
 from .tensor import Tensor, concat, reshape
 from .training import apply_dropout
 from . import data as data_io
 
 __all__ = [
-    "CellLayer", "SequenceClassifier", "SequenceTagger", "build_model",
+    "SequenceClassifier", "SequenceTagger", "build_model",
     "save_checkpoint", "load_checkpoint", "Checkpoint",
 ]
-
-
-class CellLayer:
-    """A single recurrent cell presented with the layer interface."""
-
-    def __init__(self, kind: str, input_dim: int, hidden: int, rng: np.random.Generator):
-        self.params = new_cell_params(kind, input_dim, hidden, rng)
-
-    def initial_state(self) -> CellState:
-        return zero_state(self.params.kind, self.params.hidden)
-
-    def step(self, x: Tensor, state: CellState):
-        new = cell_step(x, state, self.params)
-        return new.h, new
-
-    def named_parameters(self, prefix: str = "layer") -> dict[str, Tensor]:
-        return self.params.named(prefix)
-
-
-def _make_layer(spec, input_dim: int, hidden: int, rng: np.random.Generator):
-    topology = layer_topology(spec, hidden)
-    if topology is None:
-        return CellLayer(spec.kind, input_dim, hidden, rng)
-    return NorLayer(topology, input_dim, rng)
 
 
 class _ModelBase:
@@ -75,7 +50,7 @@ class _ModelBase:
         self.stacks: list[tuple] = []
         d = config.input_dim
         for spec in config.layers:
-            stack = tuple(_make_layer(spec, d, config.hidden, rng)
+            stack = tuple(make_layer(spec, d, config.hidden, rng)
                           for _ in range(2 if config.bidirectional else 1))
             self.stacks.append(stack)
             d = config.hidden * len(stack)

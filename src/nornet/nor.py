@@ -1,7 +1,10 @@
-"""Composite recurrent layers: several small recurrent subnetworks running
-in parallel on a shared input, merged by a relu combiner.  A layer follows
-a topology, the rule (kind, n, hidden, wiring) for laying out n subnetworks
-of cells all `hidden` wide:
+"""Recurrent layers and the one rule that lays them out.
+
+A layer is a plain cell (simple, gru, lstm) or a composite layer: several
+small recurrent subnetworks running in parallel on a shared input, merged
+by a relu combiner.  LayerSpec(kind, n, wiring) is a layer's topology; at a
+hidden width every cell is `hidden` wide and the composite kinds lay out n
+subnetworks as follows:
 
   parallel    n one-tier relu subnetworks
   parallel2   n two-tier subnetworks (tier 2 reads tier 1's output, or with
@@ -14,8 +17,10 @@ of cells all `hidden` wide:
 
 LAYER_KINDS is the one registry of layer kinds: these five plus the plain
 cells, each with its short name, default subnetwork count and the wirings
-it takes (the first is its default).  NorTopology checks a rule against it
-and is the one place that turns (kind, n) into subnetworks.
+it takes (the first is its default).  LayerSpec checks itself against it
+and is the one place that turns (kind, n) into subnetworks.  make_layer
+builds every layer from a spec: a CellLayer for a plain kind, a NorLayer
+for a composite one.
 
 Each recurrent neuron keeps its own memory vector: the output it produced on
 the previous step.  The combiner is o = relu(W [s_1; ...; s_m] + b).
@@ -27,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import CellParams, CellState, cell_step, new_cell_params
+from .cells import CellParams, CellState, cell_step, new_cell_params, zero_state
 from .tensor import Tensor, add, block_matmul, concat, elementwise_mul, relu
 from .tensor import matmul  # noqa: F401  perfbench's tracer test reads nor.matmul
 
 __all__ = [
-    "NorTopology", "NorLayer", "LayerKind", "LAYER_KINDS",
-    "ma_topology", "ma2_topology", "ms_topology", "ss_topology", "gate_topology",
+    "LayerSpec", "LayerKind", "LAYER_KINDS", "CellLayer", "NorLayer", "make_layer",
     "component_o_combine", "unroll", "bidirectional_wrap",
 ]
 
@@ -64,39 +68,47 @@ LAYER_KINDS = {e.kind: e for e in (
 
 
 @dataclass(frozen=True)
-class NorTopology:
-    """A composite layer's rule: n subnetworks of `kind`, every cell
-    `hidden` wide, tier 2 wired by `wiring` (None: the kind's default).
+class LayerSpec:
+    """One recurrent layer's topology: a plain cell, or n subnetworks of a
+    composite kind with tier 2 wired by `wiring`.
 
-    n is an int, a (one_tier, two_tier) pair for "mixed", or the pair count
-    for "gated".
+    For a composite kind, n=None and wiring=None resolve to the kind's
+    default count and first listed wiring; n is an int, a (one_tier,
+    two_tier) pair for "mixed", or the pair count for "gated".  A plain
+    kind takes neither, so n is None exactly for a plain spec.  The width
+    is not part of the rule: layers are built and counted at a hidden size.
     """
 
     kind: str
-    n: int | tuple[int, int]
-    hidden: int
+    n: int | tuple[int, int] | None = None
     wiring: str | None = None
 
     def __post_init__(self):
         entry = LAYER_KINDS.get(self.kind)
-        if entry is None or entry.default_n is None:
-            raise ValueError(f"unknown topology kind {self.kind!r}")
-        n = self.n
+        if entry is None:
+            raise ValueError(f"unknown layer kind {self.kind!r}")
+        if entry.default_n is None:
+            if self.n is not None or self.wiring is not None:
+                raise ValueError(f"plain layer kind {self.kind!r} takes no subnetwork count or wiring")
+            return
+        n = entry.default_n if self.n is None else self.n
         if self.kind == "mixed":
             if not (isinstance(n, tuple) and len(n) == 2 and min(n) >= 0 and sum(n) >= 1):
                 raise ValueError(f"mixed needs a nonzero (one_tier, two_tier) pair, got {n!r}")
         elif not (isinstance(n, int) and n >= 1):
             raise ValueError(f"{self.kind} layers need a positive count, got {n!r}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be positive, got {self.hidden}")
-        if self.wiring is None:
-            object.__setattr__(self, "wiring", entry.wirings[0])
-        elif self.wiring not in entry.wirings:
+        wiring = entry.wirings[0] if self.wiring is None else self.wiring
+        if wiring not in entry.wirings:
             raise ValueError(f"{self.kind} layers take wiring {' or '.join(entry.wirings)}, "
-                             f"got {self.wiring!r}")
+                             f"got {wiring!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "wiring", wiring)
 
     def cell_kinds(self) -> list[tuple[str, ...]]:
-        """The cell kind of every tier of every subnetwork."""
+        """The cell kind of every tier of every subnetwork; a plain layer is
+        one one-tier subnetwork of its own kind."""
+        if self.n is None:
+            return [(self.kind,)]
         if self.kind == "gated":
             return [("gate",), ("simple",)] * self.n
         if self.kind == "mixed":
@@ -120,45 +132,22 @@ class NorTopology:
             return [product(g, s) for g, s in zip(outs[0::2], outs[1::2])]
         return outs
 
-    def plan(self, input_dim: int) -> tuple[list[list[tuple[str, int, int]]], int]:
-        """Parameter shapes at a layer input width.
+    def plan(self, input_dim: int, hidden: int
+             ) -> tuple[list[list[tuple[str, int, int]]], int | None]:
+        """Parameter shapes at a layer input width and a hidden width.
 
         Returns (cell kind, input width, hidden) for every tier of every
-        subnetwork, and the width of the vector the combiner reads.  The
-        layer builder and the parameter counter both read this plan.
+        subnetwork, and the width of the vector the combiner reads (None
+        for a plain cell, which has no combiner).  make_layer and the
+        parameter counter both read this plan.
         """
-        h = self.hidden
         kinds = self.cell_kinds()
-        widths = [h] * len(kinds)
-        cells = [[(kind, self.tier2_feed(input_dim, widths, i, sum) if t else input_dim, h)
+        widths = [hidden] * len(kinds)
+        cells = [[(kind, self.tier2_feed(input_dim, widths, i, sum) if t else input_dim, hidden)
                   for t, kind in enumerate(tiers)] for i, tiers in enumerate(kinds)]
+        if self.n is None:
+            return cells, None
         return cells, sum(self.merge(widths, lambda gate, gen: gate))
-
-
-def ma_topology(n: int, hidden: int) -> NorTopology:
-    """n parallel one-tier relu subnetworks."""
-    return NorTopology("parallel", n, hidden)
-
-
-def ma2_topology(n: int, hidden: int, wiring: str | None = None) -> NorTopology:
-    """n parallel two-tier relu subnetworks; tier 2 reads its own tier 1
-    (tier1_own, the default) or the layer input (layer_input)."""
-    return NorTopology("parallel2", n, hidden, wiring)
-
-
-def ms_topology(n_one: int, n_two: int, hidden: int) -> NorTopology:
-    """n_one one-tier plus n_two two-tier relu subnetworks."""
-    return NorTopology("mixed", (n_one, n_two), hidden)
-
-
-def ss_topology(n: int, hidden: int) -> NorTopology:
-    """n two-tier subnetworks; every tier 2 reads the concat of all tier-1 outputs."""
-    return NorTopology("shared", n, hidden)
-
-
-def gate_topology(pairs: int, hidden: int) -> NorTopology:
-    """pairs of (sigmoid gate, relu generalization) cells, merged by product."""
-    return NorTopology("gated", pairs, hidden)
 
 
 def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
@@ -167,20 +156,37 @@ def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
     return relu(add(block_matmul(w, parts), b))
 
 
+class CellLayer:
+    """A single recurrent cell presented with the layer interface."""
+
+    def __init__(self, kind: str, input_dim: int, hidden: int, rng: np.random.Generator):
+        self.params = new_cell_params(kind, input_dim, hidden, rng)
+
+    def initial_state(self) -> CellState:
+        return zero_state(self.params.kind, self.params.hidden)
+
+    def step(self, x: Tensor, state: CellState):
+        new = cell_step(x, state, self.params)
+        return new.h, new
+
+    def named_parameters(self, prefix: str = "layer") -> dict[str, Tensor]:
+        return self.params.named(prefix)
+
+
 class NorLayer:
     """A full composite layer: cells per (subnetwork, tier) plus combiner."""
 
-    def __init__(self, topology: NorTopology, input_dim: int, rng: np.random.Generator):
-        self.topology = topology
+    def __init__(self, spec: LayerSpec, input_dim: int, hidden: int, rng: np.random.Generator):
+        cells, concat_dim = spec.plan(input_dim, hidden)
+        if concat_dim is None:
+            raise ValueError(f"a composite layer needs a composite kind, got {spec.kind!r}")
+        self.topology = spec
         self.input_dim = input_dim
-        h_out = topology.hidden
-        cells, concat_dim = topology.plan(input_dim)
         self.cells: list[list[CellParams]] = [
-            [new_cell_params(kind, d, hidden, rng) for kind, d, hidden in tiers]
-            for tiers in cells]
-        lim = np.sqrt(6.0 / (concat_dim + h_out))
-        self.w_mlp = Tensor(rng.uniform(-lim, lim, size=(h_out, concat_dim)))
-        self.b_mlp = Tensor(np.zeros(h_out))
+            [new_cell_params(kind, d, h, rng) for kind, d, h in tiers] for tiers in cells]
+        lim = np.sqrt(6.0 / (concat_dim + hidden))
+        self.w_mlp = Tensor(rng.uniform(-lim, lim, size=(hidden, concat_dim)))
+        self.b_mlp = Tensor(np.zeros(hidden))
 
     def initial_state(self) -> list[list[Tensor]]:
         """One memory per recurrent neuron, indexed [subnetwork][tier]."""
@@ -211,6 +217,14 @@ class NorLayer:
         out[f"{prefix}.combiner.w"] = self.w_mlp
         out[f"{prefix}.combiner.b"] = self.b_mlp
         return out
+
+
+def make_layer(spec: LayerSpec, input_dim: int, hidden: int, rng: np.random.Generator):
+    """The layer a spec describes at an input width, `hidden` wide: a
+    CellLayer for a plain kind, a NorLayer for a composite one."""
+    if spec.n is None:
+        return CellLayer(spec.kind, input_dim, hidden, rng)
+    return NorLayer(spec, input_dim, hidden, rng)
 
 
 def unroll(layer, inputs: list[Tensor], state=None):

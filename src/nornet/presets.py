@@ -8,8 +8,8 @@ with 9 chunk tags (conll).
 
 from __future__ import annotations
 
-from .budget import HeadSpec, LayerSpec, ModelConfig
-from .nor import LAYER_KINDS
+from .budget import HeadSpec, ModelConfig
+from .nor import LAYER_KINDS, LayerSpec
 from .training import TrainConfig
 
 __all__ = [

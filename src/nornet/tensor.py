@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "grad_check", "GradCheckReport",
-    "add", "sub", "neg", "scale", "elementwise_mul", "matmul", "block_matmul", "maximum",
+    "add", "sub", "scale", "elementwise_mul", "matmul", "block_matmul", "maximum",
     "relu", "sigmoid", "tanh", "concat", "reshape",
     "log_sum_exp", "reduce_sum",
 ]
@@ -60,9 +60,6 @@ class Tensor:
 
     def __sub__(self, other):
         return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -287,10 +284,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     return _emit("sub", a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _emit("neg", -a.data, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, c: float) -> Tensor:

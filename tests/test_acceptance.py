@@ -22,9 +22,8 @@ from nornet.data import CorpusSplits, Vocabulary, load_classification_corpus, \
     random_embeddings
 from nornet.heads import crf_neg_log_likelihood, crf_viterbi_decode, \
     new_crf_head, new_softmax_head, softmax_cross_entropy
-from nornet.models import CellLayer, _make_layer, build_model
-from nornet.nor import NorLayer, ma2_topology, ma_topology, ms_topology, \
-    ss_topology, unroll
+from nornet.models import build_model
+from nornet.nor import CellLayer, NorLayer, make_layer, unroll
 from nornet.presets import REFERENCE_SIZES, TOPOLOGY_ALIASES, model_config
 from nornet.tensor import Tensor, concat, grad_check, reduce_sum
 from nornet.training import TrainConfig, train
@@ -61,7 +60,7 @@ def _gradient_scenarios(rng):
         params = layer.named_parameters("cell")
         yield f"cell/{kind}", _unrolled_loss(layer, params, d, steps, rng), params
     for kind in ("parallel", "parallel2", "mixed", "shared", "gated"):
-        layer = _make_layer(LayerSpec(kind=kind), d, h, rng)
+        layer = make_layer(LayerSpec(kind=kind), d, h, rng)
         params = layer.named_parameters("layer")
         yield f"layer/{kind}", _unrolled_loss(layer, params, d, steps, rng), params
 
@@ -208,7 +207,7 @@ def _run_bits(layer, xs):
 
 def _single_subnet_collapse() -> bool:
     rng = np.random.default_rng(105)
-    layer = NorLayer(ma_topology(1, 3), 4, rng)
+    layer = NorLayer(LayerSpec("parallel", 1), 4, 3, rng)
     layer.w_mlp.data[...] = np.eye(3)
     layer.b_mlp.data[...] = 0.0
     cell = new_cell_params("simple", 4, 3, np.random.default_rng(0))
@@ -228,8 +227,8 @@ def _single_subnet_collapse() -> bool:
 
 def _no_two_tier_collapse() -> bool:
     rng = np.random.default_rng(106)
-    ma = NorLayer(ma_topology(2, 3), 4, rng)
-    ms = NorLayer(ms_topology(2, 0, 3), 4, np.random.default_rng(0))
+    ma = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
+    ms = NorLayer(LayerSpec("mixed", (2, 0)), 4, 3, np.random.default_rng(0))
     src = ma.named_parameters()
     for name, p in ms.named_parameters().items():
         p.data[...] = src[name].data
@@ -240,8 +239,8 @@ def _no_two_tier_collapse() -> bool:
 def _block_diagonal_collapse() -> bool:
     rng = np.random.default_rng(107)
     h, n, d = 3, 2, 4
-    ma2 = NorLayer(ma2_topology(n, h), d, rng)
-    ss = NorLayer(ss_topology(n, h), d, np.random.default_rng(0))
+    ma2 = NorLayer(LayerSpec("parallel2", n), d, h, rng)
+    ss = NorLayer(LayerSpec("shared", n), d, h, np.random.default_rng(0))
     for i in range(n):
         for part in ("w", "u", "b"):
             getattr(ss.cells[i][0], part)["h"].data[...] = \

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from nornet.budget import (BudgetError, HeadSpec, LayerSpec, ModelConfig,
-                           count_params, emit_sizing_table, layer_topology,
-                           solve_hidden_size)
+                           count_params, emit_sizing_table, solve_hidden_size)
 from nornet.data import Vocabulary, random_embeddings
 from nornet.models import build_model
 from nornet.presets import (REFERENCE_SIZES, STANDARD_TOPOLOGIES, TASKS,
@@ -124,8 +123,8 @@ def test_solver_tolerance_gate():
 
 
 def test_shared_layer_is_wired_tier1_all():
-    assert layer_topology(LayerSpec("shared"), 3).wiring == "tier1_all"
-    assert LayerSpec("shared").wiring is None
+    assert LayerSpec("shared").wiring == "tier1_all"
+    assert LayerSpec("parallel2") == LayerSpec("parallel2", 3, "tier1_own")
     with pytest.raises(ValueError, match="wiring"):
         LayerSpec("shared", wiring="tier1_own")
 

@@ -172,6 +172,25 @@ def test_eval_rejects_a_file_that_is_not_a_checkpoint(workspace, capsys):
         assert "data error" in err and f"{tmp / 'bogus.ckpt'}: " in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("hidden = 5\n", "hidden = 6\n"),               # arrays narrower than the config
+    ("[names] 2\nAA\nBB\n", "[names] 3\nAA\nBB\nCC\n"),
+    ("\n<unk>\n", "\nunk\n"),
+    ("\nembedding 2 ", "\nembeddin 2 "),
+    ("embedding_dim = 8\n", "embedding_dim = 7\n"),
+])
+def test_eval_rejects_a_checkpoint_that_contradicts_itself(workspace, capsys, old, new):
+    tmp, config = workspace
+    assert main(["train", "--config", str(config), "--out", str(tmp / "out")]) == 0
+    text = (tmp / "out" / "model.ckpt").read_text(encoding="utf-8")
+    assert old in text
+    (tmp / "bad.ckpt").write_text(text.replace(old, new, 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp / "bad.ckpt"), "--data", str(tmp / "train.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: checkpoint {tmp / 'bad.ckpt'} ")
+
+
 def test_eval_reads_tagger_checkpoint(tmp_path, capsys):
     corpus = tmp_path / "ner.txt"
     corpus.write_text("\n\n".join(["Rome B-LOC\nis O\nold O", "Ann B-PER\nsings O",
@@ -188,6 +207,16 @@ def test_eval_reads_tagger_checkpoint(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("entity_f1 ")
     assert "12 examples" in out
+
+    # checkpoints written while the config echo still held lowercase for
+    # conll data evaluate as before
+    text = (tmp_path / "out" / "model.ckpt").read_text(encoding="utf-8")
+    n = int(text.split("\n")[1].split()[1])
+    old = text.replace(f"[config] {n}\n", f"[config] {n + 1}\n", 1).replace(
+        "format = conll\n", "format = conll\nlowercase = true\n", 1)
+    (tmp_path / "old.ckpt").write_text(old, encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(tmp_path / "old.ckpt"), "--data", str(corpus)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_eval_scores_entities_past_the_training_pad_length(tmp_path, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from nornet import budget
 from nornet.cells import CellState, cell_step, new_cell_params, zero_state
-from nornet.nor import (NorLayer, NorTopology, bidirectional_wrap,
-                        component_o_combine, gate_topology, ma2_topology,
-                        ma_topology, ms_topology, ss_topology, unroll)
+from nornet.nor import (LAYER_KINDS, CellLayer, LayerSpec, NorLayer, bidirectional_wrap,
+                        component_o_combine, make_layer, unroll)
 from nornet.tensor import Tape, Tensor, concat, grad_check, reduce_sum
 
 
@@ -47,7 +47,7 @@ def test_combiner_node_count_does_not_grow_with_subnetworks():
 
 def test_ma_forward_matches_numpy_oracle():
     rng = np.random.default_rng(31)
-    layer = NorLayer(ma_topology(2, 3), 4, rng)
+    layer = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
     x = rng.normal(size=4)
     out, state = layer.step(Tensor(x), layer.initial_state())
 
@@ -62,7 +62,7 @@ def test_ma_forward_matches_numpy_oracle():
 
 def test_gated_forward_matches_numpy_oracle():
     rng = np.random.default_rng(32)
-    layer = NorLayer(gate_topology(1, 3), 4, rng)
+    layer = NorLayer(LayerSpec("gated", 1), 4, 3, rng)
     x = rng.normal(size=4)
     out, _ = layer.step(Tensor(x), layer.initial_state())
 
@@ -77,7 +77,7 @@ def test_collapse_single_subnet_identity_combiner_is_simple_rnn():
     # one-subnetwork parallel layer with identity combiner: relu output of
     # the cell passes through relu(I h + 0) unchanged, bit for bit
     rng = np.random.default_rng(33)
-    layer = NorLayer(ma_topology(1, 3), 4, rng)
+    layer = NorLayer(LayerSpec("parallel", 1), 4, 3, rng)
     layer.w_mlp.data[...] = np.eye(3)
     layer.b_mlp.data[...] = 0.0
 
@@ -96,8 +96,8 @@ def test_collapse_single_subnet_identity_combiner_is_simple_rnn():
 
 def test_collapse_mixed_without_two_tier_is_parallel():
     rng = np.random.default_rng(35)
-    ma = NorLayer(ma_topology(2, 3), 4, rng)
-    ms = NorLayer(ms_topology(2, 0, 3), 4, np.random.default_rng(0))
+    ma = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
+    ms = NorLayer(LayerSpec("mixed", (2, 0)), 4, 3, np.random.default_rng(0))
     _copy_params(ms, ma)
     xs = np.random.default_rng(36).normal(size=(5, 4))
     assert _run_bits(ma, xs) == _run_bits(ms, xs)
@@ -108,8 +108,8 @@ def test_collapse_blockdiagonal_shared_is_two_tier_parallel():
     # reduces tier1_all wiring to tier1_own, exactly
     rng = np.random.default_rng(37)
     h, n, d = 3, 2, 4
-    ma2 = NorLayer(ma2_topology(n, h), d, rng)
-    ss = NorLayer(ss_topology(n, h), d, np.random.default_rng(0))
+    ma2 = NorLayer(LayerSpec("parallel2", n), d, h, rng)
+    ss = NorLayer(LayerSpec("shared", n), d, h, np.random.default_rng(0))
 
     for i in range(n):
         for part in ("w", "u", "b"):
@@ -131,8 +131,8 @@ def test_collapse_blockdiagonal_shared_is_two_tier_parallel():
 def test_subnetwork_order_is_immaterial_bitwise():
     rng = np.random.default_rng(39)
     h, d = 3, 4
-    a = NorLayer(ma_topology(3, h), d, rng)
-    b = NorLayer(ma_topology(3, h), d, np.random.default_rng(0))
+    a = NorLayer(LayerSpec("parallel", 3), d, h, rng)
+    b = NorLayer(LayerSpec("parallel", 3), d, h, np.random.default_rng(0))
     perm = [2, 0, 1]
     for dst, src in enumerate(perm):
         for part in ("w", "u", "b"):
@@ -148,7 +148,7 @@ def test_subnetwork_order_is_immaterial_bitwise():
 
 def test_outputs_are_causal():
     rng = np.random.default_rng(41)
-    layer = NorLayer(ss_topology(2, 3), 4, rng)
+    layer = NorLayer(LayerSpec("shared", 2), 4, 3, rng)
     xs = np.random.default_rng(42).normal(size=(5, 4))
     before, _ = unroll(layer, [Tensor(x) for x in xs])
     xs2 = xs.copy()
@@ -161,17 +161,17 @@ def test_outputs_are_causal():
 
 def test_wiring_controls_tier2_input_width():
     rng = np.random.default_rng(43)
-    own = NorLayer(ma2_topology(2, 3, wiring="tier1_own"), 7, rng)
-    raw = NorLayer(ma2_topology(2, 3, wiring="layer_input"), 7, rng)
+    own = NorLayer(LayerSpec("parallel2", 2, "tier1_own"), 7, 3, rng)
+    raw = NorLayer(LayerSpec("parallel2", 2, "layer_input"), 7, 3, rng)
     assert own.cells[0][1].input_dim == 3
     assert raw.cells[0][1].input_dim == 7
-    shared = NorLayer(ss_topology(2, 3), 7, rng)
+    shared = NorLayer(LayerSpec("shared", 2), 7, 3, rng)
     assert shared.cells[0][1].input_dim == 6
 
 
 def test_layer_rejects_wrong_input_shape():
     rng = np.random.default_rng(44)
-    layer = NorLayer(ma_topology(2, 3), 4, rng)
+    layer = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
     with pytest.raises(ValueError):
         layer.step(Tensor(np.zeros(5)), layer.initial_state())
 
@@ -182,29 +182,35 @@ def test_topology_validation():
     for kind, counts in bad_counts.items():
         for n in counts:
             with pytest.raises(ValueError, match="count|pair"):
-                NorTopology(kind, n, 2)
+                LayerSpec(kind, n)
+    rng = np.random.default_rng(0)
     for kind, n in (("parallel", 3), ("mixed", (2, 2)), ("gated", 1)):
         with pytest.raises(ValueError, match="hidden"):
-            NorTopology(kind, n, 0)
-    for kind in ("bogus", "simple", "lstm"):
-        with pytest.raises(ValueError, match="kind"):
-            NorTopology(kind, 1, 2)
+            NorLayer(LayerSpec(kind, n), 4, 0, rng)
+    with pytest.raises(ValueError, match="kind"):
+        LayerSpec("bogus")
+    for kind in ("simple", "lstm"):
+        for n, wiring in ((1, None), (None, "tier1_own")):
+            with pytest.raises(ValueError, match="plain layer kind"):
+                LayerSpec(kind, n, wiring)
+        with pytest.raises(ValueError, match="composite kind"):
+            NorLayer(LayerSpec(kind), 4, 2, rng)
     for kind, wiring in (("parallel", "layer_input"), ("shared", "tier1_own"),
                          ("parallel2", "tier1_all"), ("gated", "bogus")):
         with pytest.raises(ValueError, match="wiring"):
-            NorTopology(kind, 2, 2, wiring)
-    # factories and None pick the kind's first listed wiring
-    assert ss_topology(2, 3).wiring == "tier1_all"
-    assert ma2_topology(2, 3) == NorTopology("parallel2", 2, 3, "tier1_own")
-    with pytest.raises(ValueError):
-        gate_topology(0, 2)
-    with pytest.raises(ValueError):
-        ms_topology(0, 0, 2)
+            LayerSpec(kind, 2, wiring)
+
+
+def test_each_kind_builds_its_layer_class():
+    assert budget.LayerSpec is LayerSpec
+    for kind, entry in LAYER_KINDS.items():
+        layer = make_layer(LayerSpec(kind), 4, 3, np.random.default_rng(0))
+        assert type(layer) is (CellLayer if entry.default_n is None else NorLayer)
 
 
 def test_unroll_threads_state_and_rejects_empty():
     rng = np.random.default_rng(45)
-    layer = NorLayer(ma_topology(2, 3), 4, rng)
+    layer = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
     xs = [Tensor(v) for v in np.random.default_rng(46).normal(size=(2, 4))]
     outs, state = unroll(layer, xs)
     o0, s0 = layer.step(xs[0], layer.initial_state())
@@ -217,8 +223,8 @@ def test_unroll_threads_state_and_rejects_empty():
 
 def test_bidirectional_concat_layout():
     rng = np.random.default_rng(47)
-    fwd = NorLayer(ma_topology(2, 3), 4, rng)
-    bwd = NorLayer(ma_topology(2, 3), 4, rng)
+    fwd = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
+    bwd = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
     xs = [Tensor(v) for v in np.random.default_rng(48).normal(size=(4, 4))]
     both = bidirectional_wrap(fwd, bwd, xs)
     f, _ = unroll(fwd, xs)
@@ -231,16 +237,16 @@ def test_bidirectional_concat_layout():
 
 
 @pytest.mark.parametrize("topo", [
-    ma_topology(2, 3),
-    ma2_topology(2, 3),
-    ma2_topology(2, 3, wiring="layer_input"),
-    ms_topology(1, 1, 3),
-    ss_topology(2, 3),
-    gate_topology(2, 3),
+    LayerSpec("parallel", 2),
+    LayerSpec("parallel2", 2),
+    LayerSpec("parallel2", 2, "layer_input"),
+    LayerSpec("mixed", (1, 1)),
+    LayerSpec("shared", 2),
+    LayerSpec("gated", 2),
 ])
 def test_layer_gradients(topo):
     rng = np.random.default_rng(49)
-    layer = NorLayer(topo, 4, rng)
+    layer = NorLayer(topo, 4, 3, rng)
     params = layer.named_parameters()
     for p in params.values():
         p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)

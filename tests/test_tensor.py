@@ -7,7 +7,7 @@ import pytest
 
 from nornet.tensor import (ShapeError, Tape, Tensor, _mm2, add, block_matmul, concat,
                            elementwise_mul, grad_check, log_sum_exp, matmul,
-                           maximum, neg, reduce_sum, relu, reshape, scale,
+                           maximum, reduce_sum, relu, reshape, scale,
                            sigmoid, slice_, sub, tanh)
 
 
@@ -415,7 +415,6 @@ def test_operator_sugar_matches_functions():
     b = Tensor(np.array([3.0, 4.0]))
     np.testing.assert_array_equal((a + b).data, add(a, b).data)
     np.testing.assert_array_equal((a - b).data, sub(a, b).data)
-    np.testing.assert_array_equal((-a).data, neg(a).data)
     np.testing.assert_array_equal((a * b).data, elementwise_mul(a, b).data)
     np.testing.assert_array_equal((2.0 * a).data, scale(a, 2.0).data)
     np.testing.assert_array_equal(a[1].data, slice_(a, 1).data)

@@ -37,3 +37,12 @@ def test_grad_diff_of_a_tree_against_itself_is_zero():
     lines = proc.stdout.splitlines()
     assert len(lines) == 16 and lines[0].startswith("trec/irnn ")
     assert all(" loss bit-identical " in line and line.endswith(" 0.000e+00") for line in lines)
+
+
+def test_param_digest_of_a_tree_against_itself_is_same():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "param_digest.py"), str(ROOT), str(ROOT)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 23 and lines[0].startswith("simple/uni2/softmax ")
+    assert all(line.endswith(" same") for line in lines)
