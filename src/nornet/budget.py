@@ -34,8 +34,9 @@ class HeadSpec:
     def __post_init__(self):
         if self.kind not in ("softmax", "crf"):
             raise ValueError(f"unknown head kind {self.kind!r}")
-        if self.classes < 1:
-            raise ValueError("head needs at least one class")
+        least = 2 if self.kind == "softmax" else 1
+        if self.classes < least:
+            raise ValueError(f"{self.kind} head needs at least {least} classes, got {self.classes}")
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import io
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import presets
 from .budget import BudgetError, HeadSpec, ModelConfig, count_params, solve_hidden_size
-from .data import (UNK_TOKEN, CorpusError, CorpusSplits, Vocabulary,
+from .data import (UNK_TOKEN, Corpus, CorpusError, CorpusSplits, Vocabulary,
                    load_classification_corpus, load_conll, load_embeddings, random_embeddings)
 from .models import build_model, load_checkpoint, save_checkpoint
 from .nor import LAYER_KINDS, LayerSpec, make_layer, unroll
@@ -40,14 +40,18 @@ class ConfigError(ValueError):
 
 # --- config file handling --------------------------------------------------
 
-_MODEL_KEYS = {"task", "topology", "hidden", "budget", "classes"}
-_TRAIN_KEYS = {"seed", "lr", "batch_size", "max_epochs", "dropout", "patience",
-               "lr_decay", "pad_length"}
-_DATA_KEYS = {"format", "train", "dev", "test", "embeddings", "embedding_dim",
-              "lowercase"}
+# Every config key with its type.  echo_config writes the keys in this order;
+# the data file paths are never echoed.
+_KEYS = {
+    "model": {"task": str, "topology": str, "hidden": int, "classes": int, "budget": int},
+    "train": {"seed": int, "lr": float, "batch_size": int, "max_epochs": int,
+              "dropout": float, "patience": int, "lr_decay": float, "pad_length": int},
+    "data": {"format": str, "embedding_dim": int, "lowercase": bool,
+             "train": str, "dev": str, "test": str, "embeddings": str},
+}
 
 
-@dataclass
+@dataclasses.dataclass
 class RunSettings:
     task: str
     topology: str
@@ -58,7 +62,6 @@ class RunSettings:
     dev_path: str | None
     test_path: str | None
     embeddings_path: str | None
-    embedding_dim: int
     lowercase: bool | None   # None for conll, whose loader keeps case
     budget: int | None
 
@@ -77,28 +80,32 @@ def _parse_ini(text: str, source) -> configparser.ConfigParser:
         parser.read_string(text, source=str(source))
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    known = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "data": _DATA_KEYS}
     for section in parser.sections():
-        if section not in known:
+        if section not in _KEYS:
             raise ConfigError(f"{source}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in known[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"{source}: unknown key {section}.{key}")
     return parser
 
 
-def _get(parser, section, key, cast, default=None, override=None):
-    if override is not None:  # a command-line value wins, even a falsy one
-        return override
-    if not parser.has_section(section) or key not in parser[section]:
-        return default
-    raw = parser[section][key]
-    if raw == "":
-        return default
-    try:
-        return parser.getboolean(section, key) if cast is bool else cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+def _read_values(parser, overrides: dict) -> dict:
+    """Every key's value cast to its type, None where the key is absent or
+    empty.  A command-line value wins, even a falsy one."""
+    values = {}
+    for section, keys in _KEYS.items():
+        for key, cast in keys.items():
+            raw = parser.get(section, key, fallback="")
+            if overrides.get(key) is not None:
+                values[key] = overrides[key]
+            elif raw == "":
+                values[key] = None
+            else:
+                try:
+                    values[key] = parser.getboolean(section, key) if cast is bool else cast(raw)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+    return values
 
 
 def resolve_run(config_path, overrides: dict) -> RunSettings:
@@ -107,28 +114,27 @@ def resolve_run(config_path, overrides: dict) -> RunSettings:
 
 
 def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
-    task = _get(parser, "model", "task", str, override=overrides.get("task"))
+    values = _read_values(parser, overrides)
+    task = values["task"]
     if task is None:
         raise ConfigError("no task preset: set model.task or pass --task")
     if task not in presets.TASKS:
         raise ConfigError(f"unknown task {task!r}; choose from {sorted(presets.TASKS)}")
-    topology = _get(parser, "model", "topology", str, "irnn", override=overrides.get("topology"))
+    topology = "irnn" if values["topology"] is None else values["topology"]
     if topology not in presets.TOPOLOGY_ALIASES:
         raise ConfigError(f"unknown topology {topology!r}; choose from "
                           f"{sorted(presets.TOPOLOGY_ALIASES)}")
 
-    embedding_dim = _get(parser, "data", "embedding_dim", int, presets.TASKS[task]["input_dim"])
-    classes = _get(parser, "model", "classes", int)
     model = presets.model_config(task, topology)
     try:
-        head = model.head if classes is None else HeadSpec(model.head.kind, classes)
-        model = ModelConfig(input_dim=embedding_dim, layers=model.layers, head=head,
-                            bidirectional=model.bidirectional)
+        if values["embedding_dim"] is not None:
+            model = dataclasses.replace(model, input_dim=values["embedding_dim"])
+        if values["classes"] is not None:
+            model = dataclasses.replace(model, head=HeadSpec(model.head.kind, values["classes"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    hidden = _get(parser, "model", "hidden", int, override=overrides.get("hidden"))
-    budget = _get(parser, "model", "budget", int, override=overrides.get("budget"))
+    hidden, budget = values["hidden"], values["budget"]
     if hidden is not None and hidden < 1:
         raise ConfigError(f"hidden must be positive, got {hidden}")
     if hidden is None:
@@ -140,58 +146,40 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
             raise ConfigError(str(exc)) from exc
     model = model.with_hidden(hidden)
 
-    train_over = {}
-    for key, cast in (("seed", int), ("lr", float), ("batch_size", int),
-                      ("max_epochs", int), ("dropout", float), ("patience", int),
-                      ("lr_decay", float), ("pad_length", int)):
-        val = _get(parser, "train", key, cast, override=overrides.get(key))
-        if val is not None:
-            train_over[key] = val
+    train_over = {key: values[key] for key in _KEYS["train"] if values[key] is not None}
     try:
         train_cfg = presets.train_config(task, **train_over)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    fmt = _get(parser, "data", "format", str, presets.TASKS[task]["fmt"])
-    lowercase = _get(parser, "data", "lowercase", bool, None if fmt == "conll" else True)
+    fmt = presets.TASKS[task]["fmt"] if values["format"] is None else values["format"]
+    lowercase = values["lowercase"]
     if fmt == "conll" and lowercase is not None:
         raise ConfigError("data.lowercase does not apply to format conll, which keeps case")
+    if fmt != "conll" and lowercase is None:
+        lowercase = True
     return RunSettings(
         task=task, topology=topology, model=model, train=train_cfg, fmt=fmt,
-        train_path=_get(parser, "data", "train", str, override=overrides.get("train")),
-        dev_path=_get(parser, "data", "dev", str, override=overrides.get("dev")),
-        test_path=_get(parser, "data", "test", str, override=overrides.get("test")),
-        embeddings_path=_get(parser, "data", "embeddings", str),
-        embedding_dim=embedding_dim,
-        lowercase=lowercase,
-        budget=budget,
-    )
+        train_path=values["train"], dev_path=values["dev"], test_path=values["test"],
+        embeddings_path=values["embeddings"], lowercase=lowercase, budget=budget)
 
 
 def echo_config(run: RunSettings, pad_length: int | None = None) -> str:
     """Serialize the fully resolved settings back to INI text."""
-    parser = configparser.ConfigParser()
-    parser["model"] = {
-        "task": run.task,
-        "topology": run.topology,
-        "hidden": str(run.model.hidden),
-        "classes": str(run.model.head.classes),
-    }
-    if run.budget is not None:
-        parser["model"]["budget"] = str(run.budget)
-    t = run.train
-    parser["train"] = {
-        "seed": str(t.seed), "lr": repr(t.lr), "batch_size": str(t.batch_size),
-        "max_epochs": str(t.max_epochs), "dropout": repr(t.dropout),
-        "patience": str(t.patience), "lr_decay": repr(t.lr_decay),
-    }
+    values = {**dataclasses.asdict(run.train),
+              "task": run.task, "topology": run.topology, "hidden": run.model.hidden,
+              "classes": run.model.head.classes, "budget": run.budget,
+              "format": run.fmt, "embedding_dim": run.model.input_dim,
+              "lowercase": run.lowercase}
     if pad_length is not None:
-        parser["train"]["pad_length"] = str(pad_length)
-    elif t.pad_length is not None:
-        parser["train"]["pad_length"] = str(t.pad_length)
-    parser["data"] = {"format": run.fmt, "embedding_dim": str(run.embedding_dim)}
-    if run.lowercase is not None:
-        parser["data"]["lowercase"] = str(run.lowercase).lower()
+        values["pad_length"] = pad_length
+    parser = configparser.ConfigParser()
+    for section, keys in _KEYS.items():
+        parser[section] = {}
+        for key in keys:
+            value = values.get(key)
+            if value is not None:
+                parser[section][key] = str(value).lower() if isinstance(value, bool) else str(value)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -200,16 +188,13 @@ def echo_config(run: RunSettings, pad_length: int | None = None) -> str:
 # --- data assembly ---------------------------------------------------------
 
 
-def _load_corpus(run: RunSettings, path, vocab=None, names=None):
-    """One data file in the run's format: its examples, vocabulary and
-    label/tag table.  Files after the training split pass its vocabulary
-    and table."""
+def _load_corpus(run: RunSettings, path, vocab=None, names=None) -> Corpus:
+    """One data file in the run's format.  Files after the training split
+    pass its vocabulary and label/tag table."""
     if run.fmt == "conll":
-        corpus = load_conll(path, vocab=vocab, tag_names=names)
-        return corpus.examples(), corpus.vocab, corpus.tag_names
-    corpus = load_classification_corpus(path, run.fmt, lowercase=run.lowercase,
-                                        vocab=vocab, label_names=names)
-    return corpus.examples(), corpus.vocab, corpus.label_names
+        return load_conll(path, vocab=vocab, tag_names=names)
+    return load_classification_corpus(path, run.fmt, lowercase=run.lowercase,
+                                      vocab=vocab, label_names=names)
 
 
 def _load_task_data(run: RunSettings):
@@ -220,16 +205,17 @@ def _load_task_data(run: RunSettings):
     """
     if run.train_path is None:
         raise ConfigError("no training data: set data.train or pass --train")
-    train_ex, vocab, names = _load_corpus(run, run.train_path)
+    train_corpus = _load_corpus(run, run.train_path)
+    train_ex, vocab, names = train_corpus.examples(), train_corpus.vocab, train_corpus.names
     if run.dev_path:
-        dev_ex = _load_corpus(run, run.dev_path, vocab, names)[0]
+        dev_ex = _load_corpus(run, run.dev_path, vocab, names).examples()
     else:
         off = run.train.seed % 10
         dev_ex = [ex for i, ex in enumerate(train_ex) if i % 10 == off]
         train_ex = [ex for i, ex in enumerate(train_ex) if i % 10 != off]
         if not dev_ex or not train_ex:
             raise CorpusError("training corpus too small to hold out a dev split")
-    test_ex = _load_corpus(run, run.test_path, vocab, names)[0] if run.test_path else None
+    test_ex = _load_corpus(run, run.test_path, vocab, names).examples() if run.test_path else None
 
     if len(names) != run.model.head.classes:
         raise ConfigError(
@@ -240,10 +226,10 @@ def _load_task_data(run: RunSettings):
 
 def _embedding_table(run: RunSettings, vocab):
     if run.embeddings_path:
-        return load_embeddings(run.embeddings_path, vocab, run.embedding_dim)
+        return load_embeddings(run.embeddings_path, vocab, run.model.input_dim)
     # no pretrained vectors: fixed random table derived from the run seed
     rng = np.random.default_rng(np.random.SeedSequence([run.train.seed, 0xE]))
-    return random_embeddings(vocab, run.embedding_dim, rng)
+    return random_embeddings(vocab, run.model.input_dim, rng)
 
 
 def _run_training(run: RunSettings, out_dir: Path, quiet=False):
@@ -314,7 +300,7 @@ def cmd_eval(args) -> int:
         raise CorpusError(f"checkpoint {args.checkpoint} is inconsistent: {exc}") from exc
 
     vocab = Vocabulary(tokens=list(ckpt.vocab_tokens))
-    examples = _load_corpus(run, args.data, vocab, ckpt.names)[0]
+    examples = _load_corpus(run, args.data, vocab, ckpt.names).examples()
     metric = model.evaluate(examples)
     kind = "entity_f1" if run.fmt == "conll" else "accuracy"
     note = (f"{len(examples)} examples" if run.train.pad_length is None

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "CorpusError", "Vocabulary", "LabeledCorpus", "TaggedCorpus", "CorpusSplits",
+    "CorpusError", "Vocabulary", "Corpus", "CorpusSplits",
     "load_classification_corpus", "save_classification_corpus",
     "load_conll", "save_conll", "to_iob2",
     "load_embeddings", "random_embeddings",
@@ -60,25 +60,18 @@ class Vocabulary:
 
 
 @dataclass
-class LabeledCorpus:
+class Corpus:
+    """Sentences of token ids with their targets: one label id per sentence
+    for classification, one tag id per token for tagging.  names maps a
+    target id to its label or tag string."""
+
     sentences: list[list[int]]
-    labels: list[int]
-    label_names: list[str]
+    targets: list
+    names: list[str]
     vocab: Vocabulary
 
-    def examples(self) -> list[tuple[list[int], int]]:
-        return list(zip(self.sentences, self.labels))
-
-
-@dataclass
-class TaggedCorpus:
-    sentences: list[list[int]]
-    tag_seqs: list[list[int]]
-    tag_names: list[str]
-    vocab: Vocabulary
-
-    def examples(self) -> list[tuple[list[int], list[int]]]:
-        return list(zip(self.sentences, self.tag_seqs))
+    def examples(self) -> list[tuple]:
+        return list(zip(self.sentences, self.targets))
 
 
 @dataclass
@@ -112,23 +105,40 @@ def _parse_line(line: str, fmt: str, path, lineno: int):
     return label, tokens
 
 
-def load_classification_corpus(path, fmt: str, lowercase: bool = True,
-                               vocab: Vocabulary | None = None,
-                               label_names: list[str] | None = None) -> LabeledCorpus:
-    """Load a one-sentence-per-line corpus.
+def _index(records, path, vocab: Vocabulary | None, names: list[str] | None,
+           what: str) -> Corpus:
+    """Map (line, tokens, target names) records to ids.
 
-    Pass the training split's vocab and label_names when loading dev/test
-    so ids stay aligned; with a fixed label table an unseen label string
-    is an error.
+    Without a vocab and name table both grow from the records.  With them,
+    unseen tokens map to <unk> and an unseen name is an error at its line.
     """
-    grow_vocab = vocab is None
     if vocab is None:
         vocab = Vocabulary()
-    grow_labels = label_names is None
-    labels_list = [] if label_names is None else list(label_names)
-    label_index = {name: i for i, name in enumerate(labels_list)}
+        to_id = vocab.add
+    else:
+        to_id = vocab.id
+    grow_names = names is None
+    names = [] if names is None else list(names)
+    name_index = {name: i for i, name in enumerate(names)}
 
-    sentences, labels = [], []
+    sentences, targets = [], []
+    for lineno, tokens, target_names in records:
+        ids = []
+        for name in target_names:
+            if name not in name_index:
+                if not grow_names:
+                    raise CorpusError(f"{path}:{lineno}: unknown {what} {name!r}")
+                name_index[name] = len(names)
+                names.append(name)
+            ids.append(name_index[name])
+        sentences.append([to_id(t) for t in tokens])
+        targets.append(ids)
+    if not sentences:
+        raise CorpusError(f"{path}: corpus is empty")
+    return Corpus(sentences, targets, names, vocab)
+
+
+def _classification_records(path, fmt: str, lowercase: bool):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -137,27 +147,29 @@ def load_classification_corpus(path, fmt: str, lowercase: bool = True,
             label, tokens = _parse_line(line, fmt, path, lineno)
             if lowercase:
                 tokens = [t.lower() for t in tokens]
-            if label not in label_index:
-                if not grow_labels:
-                    raise CorpusError(f"{path}:{lineno}: unknown label {label!r}")
-                label_index[label] = len(labels_list)
-                labels_list.append(label)
-            if grow_vocab:
-                ids = [vocab.add(t) for t in tokens]
-            else:
-                ids = [vocab.id(t) for t in tokens]
-            sentences.append(ids)
-            labels.append(label_index[label])
-    if not sentences:
-        raise CorpusError(f"{path}: corpus is empty")
-    return LabeledCorpus(sentences, labels, labels_list, vocab)
+            yield lineno, tokens, [label]
 
 
-def save_classification_corpus(corpus: LabeledCorpus, path, fmt: str) -> None:
+def load_classification_corpus(path, fmt: str, lowercase: bool = True,
+                               vocab: Vocabulary | None = None,
+                               label_names: list[str] | None = None) -> Corpus:
+    """Load a one-sentence-per-line corpus.
+
+    Pass the training split's vocab and label_names when loading dev/test
+    so ids stay aligned; with a fixed label table an unseen label string
+    is an error.
+    """
+    corpus = _index(_classification_records(path, fmt, lowercase), path,
+                    vocab, label_names, "label")
+    corpus.targets = [label for (label,) in corpus.targets]
+    return corpus
+
+
+def save_classification_corpus(corpus: Corpus, path, fmt: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ids, label in zip(corpus.sentences, corpus.labels):
+        for ids, label in corpus.examples():
             text = " ".join(corpus.vocab.tokens[i] for i in ids)
-            name = corpus.label_names[label]
+            name = corpus.names[label]
             if fmt == "tsv_label_text":
                 fh.write(f"{name}\t{text}\n")
             elif fmt == "trec_colon":
@@ -187,47 +199,16 @@ def to_iob2(tags: list[str]) -> list[str]:
     return out
 
 
-def load_conll(path, vocab: Vocabulary | None = None,
-               tag_names: list[str] | None = None) -> TaggedCorpus:
-    """Load a column-format tagging corpus; tags are normalized to IOB2."""
-    grow_vocab = vocab is None
-    if vocab is None:
-        vocab = Vocabulary()
-    grow_tags = tag_names is None
-    tags_list = [] if tag_names is None else list(tag_names)
-    tag_index = {name: i for i, name in enumerate(tags_list)}
-
-    sentences, tag_seqs = [], []
-    cur_tokens: list[str] = []
-    cur_tags: list[str] = []
-    ncols = None
-
-    def flush(lineno):
-        nonlocal cur_tokens, cur_tags
-        if not cur_tokens:
-            return
-        ids = [vocab.add(t) if grow_vocab else vocab.id(t) for t in cur_tokens]
-        tag_ids = []
-        for tag in to_iob2(cur_tags):
-            if tag not in tag_index:
-                if not grow_tags:
-                    raise CorpusError(f"{path}:{lineno}: unknown tag {tag!r}")
-                tag_index[tag] = len(tags_list)
-                tags_list.append(tag)
-            tag_ids.append(tag_index[tag])
-        sentences.append(ids)
-        tag_seqs.append(tag_ids)
-        cur_tokens, cur_tags = [], []
-
+def _conll_records(path):
+    """One record per sentence, numbered by the line that closes it."""
+    tokens, tags, ncols = [], [], None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush(lineno)
-                continue
-            cols = line.split()
-            if cols[0] == "-DOCSTART-":
-                flush(lineno)
+            cols = raw.split()
+            if not cols or cols[0] == "-DOCSTART-":
+                if tokens:
+                    yield lineno, tokens, to_iob2(tags)
+                tokens, tags = [], []
                 continue
             if len(cols) < 2:
                 raise CorpusError(f"{path}:{lineno}: need at least token and tag columns")
@@ -236,19 +217,23 @@ def load_conll(path, vocab: Vocabulary | None = None,
             elif len(cols) != ncols:
                 raise CorpusError(f"{path}:{lineno}: ragged columns "
                                   f"({len(cols)} here, {ncols} earlier)")
-            cur_tokens.append(cols[0])
-            cur_tags.append(cols[-1])
-        flush("eof")
-    if not sentences:
-        raise CorpusError(f"{path}: corpus is empty")
-    return TaggedCorpus(sentences, tag_seqs, tags_list, vocab)
+            tokens.append(cols[0])
+            tags.append(cols[-1])
+    if tokens:
+        yield "eof", tokens, to_iob2(tags)
 
 
-def save_conll(corpus: TaggedCorpus, path) -> None:
+def load_conll(path, vocab: Vocabulary | None = None,
+               tag_names: list[str] | None = None) -> Corpus:
+    """Load a column-format tagging corpus; tags are normalized to IOB2."""
+    return _index(_conll_records(path), path, vocab, tag_names, "tag")
+
+
+def save_conll(corpus: Corpus, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ids, tag_ids in zip(corpus.sentences, corpus.tag_seqs):
+        for ids, tag_ids in corpus.examples():
             for tid, gid in zip(ids, tag_ids):
-                fh.write(f"{corpus.vocab.tokens[tid]} {corpus.tag_names[gid]}\n")
+                fh.write(f"{corpus.vocab.tokens[tid]} {corpus.names[gid]}\n")
             fh.write("\n")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, log_sum_exp, matmul, maximum, reshape
+from .tensor import Tensor, add, log_sum_exp, matmul, maximum, reshape, sub
 
 __all__ = [
     "SoftmaxHeadParams", "CrfParams", "new_softmax_head", "new_crf_head",
@@ -109,7 +109,7 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
     k = logits.data.shape[0]
     if not 0 <= label < k:
         raise ValueError(f"label {label} out of range for {k} classes")
-    return log_sum_exp(logits) - logits[label]
+    return sub(log_sum_exp(logits), logits[label])
 
 
 def _check_tags(tags, k):
@@ -145,7 +145,7 @@ def crf_neg_log_likelihood(emissions: Tensor, tags: list[int], params: CrfParams
         alpha = add(log_sum_exp(cand), emissions[t])
     score = add(score, trans[tags[-1], stop])
     log_z = log_sum_exp(add(alpha, trans[0:k, stop]))
-    return log_z - score
+    return sub(log_z, score)
 
 
 def crf_viterbi_decode(emissions, params: CrfParams) -> tuple[list[int], float]:

@@ -1,12 +1,14 @@
+import configparser
 import dataclasses
 
 import numpy as np
 import pytest
 
 from nornet.budget import solve_hidden_size
-from nornet.cli import ConfigError, echo_config, main, resolve_run
+from nornet.cli import _KEYS, ConfigError, echo_config, main, resolve_run
 from nornet.data import Vocabulary, load_conll
 from nornet.models import build_model, load_checkpoint
+from nornet.presets import TASKS
 
 LABELS = ("AA", "BB")
 WORDS = {"AA": ["red", "rose", "ruby"], "BB": ["blue", "lake", "sky"]}
@@ -93,6 +95,7 @@ def test_unknown_keys_and_sections_are_config_errors(tmp_path):
 
 
 @pytest.mark.parametrize("section, key, value", [("model", "classes", "0"),
+                                                 ("model", "classes", "1"),
                                                  ("data", "embedding_dim", "0"),
                                                  ("data", "lowercase", "ture")])
 def test_rejected_config_values_are_config_errors(workspace, capsys, section, key, value):
@@ -125,6 +128,29 @@ def test_echoed_config_omits_lowercase_for_conll(workspace):
                   data={"format": "conll"})
     run = resolve_run(config, {})
     assert run.lowercase is None and "lowercase" not in echo_config(run)
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_echoed_config_is_a_fixed_point(tmp_path, task):
+    data = {"format": TASKS[task]["fmt"], "embedding_dim": "8"}
+    if task != "conll":
+        data["lowercase"] = "false"
+    config = tmp_path / "run.ini"
+    _write_config(config, tmp_path / "train.txt",
+                  model={"task": task, "topology": "ss", "hidden": "", "budget": "20000"},
+                  train={"pad_length": "7"}, data=data)
+    text = echo_config(resolve_run(config, {}))
+    assert "budget = 20000" in text and "pad_length = 7" in text
+    assert ("lowercase = false" in text) == (task != "conll")
+    config.write_text(text, encoding="utf-8")
+    assert echo_config(resolve_run(config, {})) == text
+
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    assert parser.sections() == list(_KEYS)
+    for section in _KEYS:
+        keys = list(parser[section])
+        assert keys == [key for key in _KEYS[section] if key in keys]
 
 
 def test_train_writes_outputs(workspace, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,22 +20,22 @@ def test_tsv_corpus_roundtrip(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("pos\tGood fine movie\nneg\tbad Bad plot\n", encoding="utf-8")
     corpus = load_classification_corpus(path, "tsv_label_text")
-    assert corpus.label_names == ["pos", "neg"]
-    assert corpus.labels == [0, 1]
+    assert corpus.names == ["pos", "neg"]
+    assert corpus.targets == [0, 1]
     # lowercasing folds Good/good and Bad/bad
     assert corpus.vocab.tokens.count("bad") == 1
     back = tmp_path / "back.tsv"
     save_classification_corpus(corpus, back, "tsv_label_text")
     again = load_classification_corpus(back, "tsv_label_text")
     assert again.sentences == corpus.sentences
-    assert again.labels == corpus.labels
+    assert again.targets == corpus.targets
 
 
 def test_colon_format_keeps_coarse_label(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("LOC:city Where is Oslo\nNUM:count How many moons\n", encoding="utf-8")
     corpus = load_classification_corpus(path, "trec_colon")
-    assert corpus.label_names == ["LOC", "NUM"]
+    assert corpus.names == ["LOC", "NUM"]
     assert [corpus.vocab.tokens[i] for i in corpus.sentences[0]] == ["where", "is", "oslo"]
     back = tmp_path / "back.txt"
     save_classification_corpus(corpus, back, "trec_colon")
@@ -66,7 +68,7 @@ def test_shared_vocab_maps_unseen_tokens_to_unk(tmp_path):
     dev.write_text("pos\tgood surprise\n", encoding="utf-8")
     dev_corpus = load_classification_corpus(dev, "tsv_label_text",
                                             vocab=corpus.vocab,
-                                            label_names=corpus.label_names)
+                                            label_names=corpus.names)
     assert dev_corpus.sentences[0][1] == 1  # "surprise" was never seen
     assert len(dev_corpus.vocab) == len(corpus.vocab)
 
@@ -90,8 +92,8 @@ def test_conll_loader(tmp_path):
         encoding="utf-8")
     corpus = load_conll(path)
     assert len(corpus.sentences) == 2
-    assert [corpus.tag_names[t] for t in corpus.tag_seqs[0]] == ["B-ORG", "O"]
-    assert [corpus.tag_names[t] for t in corpus.tag_seqs[1]] == ["B-PER", "I-PER"]
+    assert [corpus.names[t] for t in corpus.targets[0]] == ["B-ORG", "O"]
+    assert [corpus.names[t] for t in corpus.targets[1]] == ["B-PER", "I-PER"]
     # tagging keeps token case: capitalization is signal for entities
     assert corpus.vocab.tokens[corpus.sentences[0][0]] == "EU"
 
@@ -104,8 +106,8 @@ def test_conll_roundtrip(tmp_path):
     save_conll(corpus, back)
     again = load_conll(back)
     assert again.sentences == corpus.sentences
-    assert again.tag_seqs == corpus.tag_seqs
-    assert again.tag_names == corpus.tag_names
+    assert again.targets == corpus.targets
+    assert again.names == corpus.names
 
 
 def test_conll_ragged_rows_error(tmp_path):
@@ -120,6 +122,23 @@ def test_conll_fixed_tag_table(tmp_path):
     path.write_text("tok B-MISC\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="B-MISC"):
         load_conll(path, tag_names=["O", "B-LOC", "I-LOC"])
+
+
+@pytest.mark.parametrize("fmt, text, names, where", [
+    ("tsv_label_text", "pos\tgood\nneg\tbad\nodd\tweird\n", ["pos", "neg"], ":3: unknown label 'odd'"),
+    ("trec_colon", "LOC:city Where\n\nHUM:ind Who\n", ["LOC", "NUM"], ":3: unknown label 'HUM'"),
+    ("conll", "a O\nb B-LOC\n\nc B-PER\nd O\n\n", ["O", "B-LOC"], ":6: unknown tag 'B-PER'"),
+    ("conll", "a O\n\nb B-PER\n", ["O", "B-LOC"], ":eof: unknown tag 'B-PER'"),
+])
+def test_fixed_table_errors_name_the_line(tmp_path, fmt, text, names, where):
+    # a conll sentence is numbered by the blank line that closes it, or eof
+    path = tmp_path / "c.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}{where}")):
+        if fmt == "conll":
+            load_conll(path, tag_names=names)
+        else:
+            load_classification_corpus(path, fmt, label_names=names)
 
 
 def test_embeddings_loader_places_and_freezes(tmp_path):
