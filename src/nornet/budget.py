@@ -3,7 +3,7 @@
 Counts cover trainable parameters only: cell weights and biases, combiner
 weights and biases, head projection and biases, and CRF transitions.  The
 frozen embedding table is excluded.  A layer is counted from
-LayerSpec.plan, the same shape plan nor.make_layer builds from, and every
+LayerSpec.plan, the same shape plan nor.NorLayer builds from, and every
 cell from the gate vocabulary in cells.GATE_NAMES that allocates its
 matrices, so counts and instantiated models cannot drift apart.
 """

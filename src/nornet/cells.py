@@ -67,13 +67,9 @@ class CellState:
     c: Tensor | None = None   # lstm cell memory; None elsewhere
 
 
-def new_cell_params(kind: str, input_dim: int, hidden: int, rng: np.random.Generator,
-                    init: str = "default") -> CellParams:
-    """Allocate parameters for a cell and initialize them.
-
-    init "default" means identity-recurrence for the relu cell and glorot
-    for everything else; "glorot" and "identity" force a scheme.
-    """
+def new_cell_params(kind: str, input_dim: int, hidden: int, rng: np.random.Generator) -> CellParams:
+    """Allocate parameters for a cell and initialize them: identity
+    recurrence for the relu cell, glorot for every other kind."""
     if hidden < 1 or input_dim < 1:
         raise ValueError(f"cell dims must be positive, got input {input_dim}, hidden {hidden}")
     names = GATE_NAMES.get(kind)
@@ -83,12 +79,10 @@ def new_cell_params(kind: str, input_dim: int, hidden: int, rng: np.random.Gener
     u = {g: Tensor(np.zeros((hidden, hidden))) for g in names}
     b = {g: Tensor(np.zeros(hidden)) for g in names}
     params = CellParams(kind, w, u, b)
-    if init == "identity" or (init == "default" and kind == "simple"):
+    if kind == "simple":
         identity_recurrence_init(params, rng)
-    elif init in ("glorot", "default"):
-        glorot_init(params, rng)
     else:
-        raise ValueError(f"unknown init scheme: {init!r}")
+        glorot_init(params, rng)
     return params
 
 

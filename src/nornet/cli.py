@@ -19,10 +19,10 @@ import numpy as np
 
 from . import presets
 from .budget import BudgetError, HeadSpec, ModelConfig, count_params, solve_hidden_size
-from .data import (UNK_TOKEN, Corpus, CorpusError, CorpusSplits, Vocabulary,
+from .data import (FORMATS, UNK_TOKEN, Corpus, CorpusError, CorpusSplits, Vocabulary,
                    load_classification_corpus, load_conll, load_embeddings, random_embeddings)
 from .models import build_model, load_checkpoint, save_checkpoint
-from .nor import LAYER_KINDS, LayerSpec, make_layer, unroll
+from .nor import LAYER_KINDS, LayerSpec, NorLayer, unroll
 from .tensor import Tensor, add, concat, grad_check, reduce_sum
 from .training import NumericError, TrainConfig, train, write_metric_log
 
@@ -75,7 +75,8 @@ def _read_ini(path) -> configparser.ConfigParser:
 
 
 def _parse_ini(text: str, source) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # values are read as written: no % interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=str(source))
     except configparser.Error as exc:
@@ -153,6 +154,12 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
         raise ConfigError(str(exc)) from exc
 
     fmt = presets.TASKS[task]["fmt"] if values["format"] is None else values["format"]
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown data.format {fmt!r}; choose from {sorted(FORMATS)}")
+    wanted = "tag" if model.head.kind == "crf" else "label"
+    if FORMATS[fmt] != wanted:
+        raise ConfigError(f"format {fmt} gives {FORMATS[fmt]} targets, but task {task}'s "
+                          f"{model.head.kind} head reads {wanted} targets")
     lowercase = values["lowercase"]
     if fmt == "conll" and lowercase is not None:
         raise ConfigError("data.lowercase does not apply to format conll, which keeps case")
@@ -173,7 +180,7 @@ def echo_config(run: RunSettings, pad_length: int | None = None) -> str:
               "lowercase": run.lowercase}
     if pad_length is not None:
         values["pad_length"] = pad_length
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _KEYS.items():
         parser[section] = {}
         for key in keys:
@@ -353,7 +360,7 @@ def _gradcheck_scenario(kind: str, input_dim: int, hidden: int, steps: int,
         raise ConfigError(f"unknown gradcheck kind {kind!r}; choose from "
                           f"{_GRADCHECK_KINDS} or a layer kind")
     spec = LayerSpec(kind=layer_kind)
-    layer = make_layer(spec, input_dim, hidden, rng)
+    layer = NorLayer(spec, input_dim, hidden, rng)
     params = layer.named_parameters("cell" if spec.n is None else "layer")
     # keep the loss surface away from relu kinks: moderate random weights
     for p in params.values():

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "CorpusError", "Vocabulary", "Corpus", "CorpusSplits",
+    "FORMATS", "CorpusError", "Vocabulary", "Corpus", "CorpusSplits",
     "load_classification_corpus", "save_classification_corpus",
     "load_conll", "save_conll", "to_iob2",
     "load_embeddings", "random_embeddings",
@@ -29,6 +29,9 @@ __all__ = [
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
+
+# every corpus format and its targets: a label per sentence or a tag per token
+FORMATS = {"tsv_label_text": "label", "trec_colon": "label", "conll": "tag"}
 
 
 class CorpusError(ValueError):

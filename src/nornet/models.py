@@ -15,7 +15,7 @@ from .budget import ModelConfig
 from .heads import (crf_neg_log_likelihood, crf_viterbi_decode,
                     max_pool_over_time, new_crf_head, new_softmax_head,
                     softmax_cross_entropy)
-from .nor import bidirectional_wrap, make_layer, unroll
+from .nor import NorLayer, bidirectional_wrap, unroll
 from .tensor import Tensor, concat, reshape
 from .training import apply_dropout
 from . import data as data_io
@@ -50,7 +50,7 @@ class _ModelBase:
         self.stacks: list[tuple] = []
         d = config.input_dim
         for spec in config.layers:
-            stack = tuple(make_layer(spec, d, config.hidden, rng)
+            stack = tuple(NorLayer(spec, d, config.hidden, rng)
                           for _ in range(2 if config.bidirectional else 1))
             self.stacks.append(stack)
             d = config.hidden * len(stack)

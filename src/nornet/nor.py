@@ -18,12 +18,13 @@ subnetworks as follows:
 LAYER_KINDS is the one registry of layer kinds: these five plus the plain
 cells, each with its short name, default subnetwork count and the wirings
 it takes (the first is its default).  LayerSpec checks itself against it
-and is the one place that turns (kind, n) into subnetworks.  make_layer
-builds every layer from a spec: a CellLayer for a plain kind, a NorLayer
-for a composite one.
+and is the one place that turns (kind, n) into subnetworks.  NorLayer
+builds every layer from a spec's plan; a plain kind is one one-tier
+subnetwork with no combiner.
 
-Each recurrent neuron keeps its own memory vector: the output it produced on
-the previous step.  The combiner is o = relu(W [s_1; ...; s_m] + b).
+Each recurrent neuron keeps its own cells.CellState: the output it produced
+on the previous step (and an lstm's cell memory).  The combiner is
+o = relu(W [s_1; ...; s_m] + b).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .tensor import Tensor, add, block_matmul, concat, elementwise_mul, relu
 from .tensor import matmul  # noqa: F401  perfbench's tracer test reads nor.matmul
 
 __all__ = [
-    "LayerSpec", "LayerKind", "LAYER_KINDS", "CellLayer", "NorLayer", "make_layer",
+    "LayerSpec", "LayerKind", "LAYER_KINDS", "NorLayer",
     "component_o_combine", "unroll", "bidirectional_wrap",
 ]
 
@@ -138,7 +139,7 @@ class LayerSpec:
 
         Returns (cell kind, input width, hidden) for every tier of every
         subnetwork, and the width of the vector the combiner reads (None
-        for a plain cell, which has no combiner).  make_layer and the
+        for a plain cell, which has no combiner).  NorLayer and the
         parameter counter both read this plan.
         """
         kinds = self.cell_kinds()
@@ -156,60 +157,48 @@ def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
     return relu(add(block_matmul(w, parts), b))
 
 
-class CellLayer:
-    """A single recurrent cell presented with the layer interface."""
-
-    def __init__(self, kind: str, input_dim: int, hidden: int, rng: np.random.Generator):
-        self.params = new_cell_params(kind, input_dim, hidden, rng)
-
-    def initial_state(self) -> CellState:
-        return zero_state(self.params.kind, self.params.hidden)
-
-    def step(self, x: Tensor, state: CellState):
-        new = cell_step(x, state, self.params)
-        return new.h, new
-
-    def named_parameters(self, prefix: str = "layer") -> dict[str, Tensor]:
-        return self.params.named(prefix)
-
-
 class NorLayer:
-    """A full composite layer: cells per (subnetwork, tier) plus combiner."""
+    """A recurrent layer: cells per (subnetwork, tier) and, when the plan
+    gives the combiner a width, a relu combiner.  A plain kind is one
+    one-tier subnetwork without one, so its output is its cell's h."""
 
     def __init__(self, spec: LayerSpec, input_dim: int, hidden: int, rng: np.random.Generator):
         cells, concat_dim = spec.plan(input_dim, hidden)
-        if concat_dim is None:
-            raise ValueError(f"a composite layer needs a composite kind, got {spec.kind!r}")
         self.topology = spec
         self.input_dim = input_dim
         self.cells: list[list[CellParams]] = [
             [new_cell_params(kind, d, h, rng) for kind, d, h in tiers] for tiers in cells]
-        lim = np.sqrt(6.0 / (concat_dim + hidden))
-        self.w_mlp = Tensor(rng.uniform(-lim, lim, size=(hidden, concat_dim)))
-        self.b_mlp = Tensor(np.zeros(hidden))
+        self.w_mlp = self.b_mlp = None
+        if concat_dim is not None:
+            lim = np.sqrt(6.0 / (concat_dim + hidden))
+            self.w_mlp = Tensor(rng.uniform(-lim, lim, size=(hidden, concat_dim)))
+            self.b_mlp = Tensor(np.zeros(hidden))
 
-    def initial_state(self) -> list[list[Tensor]]:
-        """One memory per recurrent neuron, indexed [subnetwork][tier]."""
-        return [[Tensor(np.zeros(cell.hidden)) for cell in tiers] for tiers in self.cells]
+    def initial_state(self) -> list[list[CellState]]:
+        """One state per recurrent neuron, indexed [subnetwork][tier]."""
+        return [[zero_state(cell.kind, cell.hidden) for cell in tiers] for tiers in self.cells]
 
-    def step(self, x: Tensor, state: list) -> tuple[Tensor, list]:
+    def step(self, x: Tensor, state: list[list[CellState]]) -> tuple[Tensor, list]:
         if x.data.shape != (self.input_dim,):
             raise ValueError(f"layer expects input shape ({self.input_dim},), got {x.data.shape}")
         # tier 1 everywhere first, so shared wiring can see every output;
         # every subnetwork reads the same input tensor
-        tier1 = [cell_step(x, CellState(h=state[i][0]), tiers[0]).h
-                 for i, tiers in enumerate(self.cells)]
-        new_state = []
+        new_state = [[cell_step(x, state[i][0], tiers[0])] for i, tiers in enumerate(self.cells)]
+        tier1 = [mem[0].h for mem in new_state]
         for i, tiers in enumerate(self.cells):
-            mem = [tier1[i]]
             if len(tiers) == 2:
                 feed = self.topology.tier2_feed(x, tier1, i, concat)
-                mem.append(cell_step(feed, CellState(h=state[i][1]), tiers[1]).h)
-            new_state.append(mem)
-        merged = self.topology.merge([mem[-1] for mem in new_state], elementwise_mul)
+                new_state[i].append(cell_step(feed, state[i][1], tiers[1]))
+        outs = [mem[-1].h for mem in new_state]
+        if self.w_mlp is None:
+            return outs[0], new_state
+        merged = self.topology.merge(outs, elementwise_mul)
         return component_o_combine(merged, self.w_mlp, self.b_mlp), new_state
 
     def named_parameters(self, prefix: str = "layer") -> dict[str, Tensor]:
+        """A plain layer names its cell's parameters prefix.w_*/u_*/b_*."""
+        if self.w_mlp is None:
+            return self.cells[0][0].named(prefix)
         out: dict[str, Tensor] = {}
         for i, tiers in enumerate(self.cells):
             for j, cell in enumerate(tiers):
@@ -219,24 +208,12 @@ class NorLayer:
         return out
 
 
-def make_layer(spec: LayerSpec, input_dim: int, hidden: int, rng: np.random.Generator):
-    """The layer a spec describes at an input width, `hidden` wide: a
-    CellLayer for a plain kind, a NorLayer for a composite one."""
-    if spec.n is None:
-        return CellLayer(spec.kind, input_dim, hidden, rng)
-    return NorLayer(spec, input_dim, hidden, rng)
-
-
-def unroll(layer, inputs: list[Tensor], state=None):
-    """Run a layer over a sequence; returns (outputs, final state).
-
-    Works on anything exposing step/initial_state, so single cells wrapped
-    as layers and composite layers share this path.
-    """
+def unroll(layer: NorLayer, inputs: list[Tensor]):
+    """Run a layer over a sequence from its initial state; returns
+    (outputs, final state)."""
     if not inputs:
         raise ValueError("cannot unroll over an empty sequence")
-    if state is None:
-        state = layer.initial_state()
+    state = layer.initial_state()
     outputs = []
     for x in inputs:
         out, state = layer.step(x, state)

@@ -23,7 +23,7 @@ from nornet.data import CorpusSplits, Vocabulary, load_classification_corpus, \
 from nornet.heads import crf_neg_log_likelihood, crf_viterbi_decode, \
     new_crf_head, new_softmax_head, softmax_cross_entropy
 from nornet.models import build_model
-from nornet.nor import CellLayer, NorLayer, make_layer, unroll
+from nornet.nor import NorLayer, unroll
 from nornet.presets import REFERENCE_SIZES, TOPOLOGY_ALIASES, model_config
 from nornet.tensor import Tensor, concat, grad_check, reduce_sum
 from nornet.training import TrainConfig, train
@@ -39,30 +39,46 @@ def _say(capsys, line: str) -> None:
 
 # --- 1: gradients ----------------------------------------------------------
 
-def _unrolled_loss(layer, params, input_dim: int, steps: int, rng):
+def _unrolled_loss(run, params, input_dim: int, steps: int, rng):
+    """run maps the input sequence to the outputs the loss sums."""
     # moderate random weights keep the loss away from relu/max kinks,
     # where finite differences legitimately disagree with the tape
     for p in params.values():
         p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
     xs = [Tensor(rng.normal(size=input_dim)) for _ in range(steps)]
+    return lambda: reduce_sum(concat(run(xs)))
 
-    def loss():
-        outs, _ = unroll(layer, xs)
-        return reduce_sum(concat(outs))
 
-    return loss
+def _unrolled(layer):
+    return lambda xs: unroll(layer, xs)[0]
+
+
+def _stepped_cell(cell):
+    """Outputs of one cell stepped from its zero state."""
+    def run(xs):
+        st, outs = zero_state(cell.kind, cell.hidden), []
+        for x in xs:
+            st = cell_step(x, st, cell)
+            outs.append(st.h)
+        return outs
+    return run
 
 
 def _gradient_scenarios(rng):
     d, h, steps = 5, 4, 3
     for kind in ("simple", "gate", "gru", "lstm"):
-        layer = CellLayer(kind, d, h, rng)
-        params = layer.named_parameters("cell")
-        yield f"cell/{kind}", _unrolled_loss(layer, params, d, steps, rng), params
+        if kind == "gate":
+            # no layer kind is a lone sigmoid gate cell: step it directly
+            cell = new_cell_params(kind, d, h, rng)
+            run, params = _stepped_cell(cell), cell.named("cell")
+        else:
+            layer = NorLayer(LayerSpec(kind), d, h, rng)
+            run, params = _unrolled(layer), layer.named_parameters("cell")
+        yield f"cell/{kind}", _unrolled_loss(run, params, d, steps, rng), params
     for kind in ("parallel", "parallel2", "mixed", "shared", "gated"):
-        layer = make_layer(LayerSpec(kind=kind), d, h, rng)
+        layer = NorLayer(LayerSpec(kind), d, h, rng)
         params = layer.named_parameters("layer")
-        yield f"layer/{kind}", _unrolled_loss(layer, params, d, steps, rng), params
+        yield f"layer/{kind}", _unrolled_loss(_unrolled(layer), params, d, steps, rng), params
 
     head = new_softmax_head(6, 3, rng)
     x = Tensor(rng.normal(size=6))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nornet.cells import (GATE_NAMES, CellParams, CellState, cell_step,
+from nornet.cells import (GATE_NAMES, CellParams, CellState, cell_step, glorot_init,
                           identity_recurrence_init, new_cell_params,
                           zero_state)
 from nornet.tensor import Tape, Tensor, concat, grad_check, reduce_sum
@@ -25,8 +25,17 @@ def _aff(w, u, b, x, h):
     return out
 
 
+def _zero_cell(kind, d, h):
+    names = GATE_NAMES[kind]
+    return CellParams(kind, {g: Tensor(np.zeros((h, d))) for g in names},
+                      {g: Tensor(np.zeros((h, h))) for g in names},
+                      {g: Tensor(np.zeros(h)) for g in names})
+
+
 def _random_cell(kind, rng, d=3, h=2):
-    return new_cell_params(kind, d, h, rng, init="glorot")
+    p = _zero_cell(kind, d, h)
+    glorot_init(p, rng)
+    return p
 
 
 def test_simple_step_matches_scalar_loop():
@@ -90,20 +99,14 @@ def test_lstm_step_matches_scalar_loop():
 def test_lstm_zero_params_closed_form():
     # all-zero parameters, c0 = 1: every sigmoid gate is 1/2, g is 0,
     # so c' = 1/2 and h' = tanh(1/2) / 2
-    p = CellParams("lstm",
-                   {g: Tensor(np.zeros((1, 1))) for g in GATE_NAMES["lstm"]},
-                   {g: Tensor(np.zeros((1, 1))) for g in GATE_NAMES["lstm"]},
-                   {g: Tensor(np.zeros(1)) for g in GATE_NAMES["lstm"]})
+    p = _zero_cell("lstm", 1, 1)
     st = cell_step(Tensor(np.zeros(1)), CellState(h=Tensor(np.zeros(1)), c=Tensor(np.ones(1))), p)
     assert st.c.data[0] == pytest.approx(0.5, abs=0)
     assert st.h.data[0] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-16)
 
 
 def test_gru_zero_params_halves_state():
-    p = CellParams("gru",
-                   {g: Tensor(np.zeros((1, 1))) for g in GATE_NAMES["gru"]},
-                   {g: Tensor(np.zeros((1, 1))) for g in GATE_NAMES["gru"]},
-                   {g: Tensor(np.zeros(1)) for g in GATE_NAMES["gru"]})
+    p = _zero_cell("gru", 1, 1)
     st = cell_step(Tensor(np.zeros(1)), CellState(h=Tensor(np.ones(1))), p)
     assert st.h.data[0] == pytest.approx(0.5, abs=0)
 
@@ -117,7 +120,8 @@ def test_lstm_requires_cell_memory():
 
 def test_identity_recurrence_init_contract():
     rng = np.random.default_rng(15)
-    p = new_cell_params("simple", 4, 6, rng, init="identity")
+    p = _zero_cell("simple", 4, 6)
+    identity_recurrence_init(p, rng)
     assert p.u["h"].data.tobytes() == np.eye(6).tobytes()
     assert p.b["h"].data.tobytes() == np.zeros(6).tobytes()
     assert np.all(np.abs(p.w["h"].data) < 0.01)  # tiny gaussian inputs
@@ -129,8 +133,6 @@ def test_identity_init_rejects_gated_kinds():
     for kind in ("gate", "gru", "lstm"):
         with pytest.raises(ValueError):
             identity_recurrence_init(_random_cell(kind, rng), rng)
-        with pytest.raises(ValueError):
-            new_cell_params(kind, 3, 2, rng, init="identity")
 
 
 def test_default_init_dispatch():
@@ -181,7 +183,7 @@ def test_cell_params_validation():
 @pytest.mark.parametrize("kind", ["simple", "gate", "gru", "lstm"])
 def test_unrolled_cell_gradients(kind):
     rng = np.random.default_rng(20)
-    p = new_cell_params(kind, 3, 2, rng, init="glorot")
+    p = _random_cell(kind, rng)
     for t in p.b.values():
         t.data[...] = rng.normal(0.0, 0.3, size=t.data.shape)
     xs = [Tensor(rng.normal(size=3)) for _ in range(3)]

@@ -97,7 +97,12 @@ def test_unknown_keys_and_sections_are_config_errors(tmp_path):
 @pytest.mark.parametrize("section, key, value", [("model", "classes", "0"),
                                                  ("model", "classes", "1"),
                                                  ("data", "embedding_dim", "0"),
-                                                 ("data", "lowercase", "ture")])
+                                                 ("data", "lowercase", "ture"),
+                                                 ("data", "format", "bogus"),
+                                                 # trec_colon labels sentences, a crf tags tokens
+                                                 ("model", "task", "conll"),
+                                                 # conll tags tokens, a softmax labels sentences
+                                                 ("data", "format", "conll")])
 def test_rejected_config_values_are_config_errors(workspace, capsys, section, key, value):
     tmp, config = workspace
     _write_config(config, tmp / "train.txt", **{section: {key: value}})
@@ -105,6 +110,16 @@ def test_rejected_config_values_are_config_errors(workspace, capsys, section, ke
         resolve_run(config, {})
     assert main(["train", "--config", str(config), "--out", str(tmp / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_values_are_read_as_written(tmp_path):
+    corpus = tmp_path / "a%b.txt"
+    _write_corpus(corpus)
+    config = tmp_path / "run.ini"
+    _write_config(config, corpus)
+    run = resolve_run(config, {})
+    assert run.train_path == str(corpus)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_lowercase_with_conll_format_is_a_config_error(tmp_path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nornet import budget
-from nornet.cells import CellState, cell_step, new_cell_params, zero_state
-from nornet.nor import (LAYER_KINDS, CellLayer, LayerSpec, NorLayer, bidirectional_wrap,
-                        component_o_combine, make_layer, unroll)
+from nornet.cells import GATE_NAMES, cell_step, new_cell_params, zero_state
+from nornet.nor import (LAYER_KINDS, LayerSpec, NorLayer, bidirectional_wrap,
+                        component_o_combine, unroll)
 from nornet.tensor import Tape, Tensor, concat, grad_check, reduce_sum
 
 
@@ -57,7 +57,7 @@ def test_ma_forward_matches_numpy_oracle():
         h.append(np.maximum(c.w["h"].data @ x + c.u["h"].data @ np.zeros(3) + c.b["h"].data, 0.0))
     want = np.maximum(layer.w_mlp.data @ np.concatenate(h) + layer.b_mlp.data, 0.0)
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(state[0][0].data, h[0], rtol=1e-12)
+    np.testing.assert_allclose(state[0][0].h.data, h[0], rtol=1e-12)
 
 
 def test_gated_forward_matches_numpy_oracle():
@@ -184,7 +184,7 @@ def test_topology_validation():
             with pytest.raises(ValueError, match="count|pair"):
                 LayerSpec(kind, n)
     rng = np.random.default_rng(0)
-    for kind, n in (("parallel", 3), ("mixed", (2, 2)), ("gated", 1)):
+    for kind, n in (("parallel", 3), ("mixed", (2, 2)), ("gated", 1), ("lstm", None)):
         with pytest.raises(ValueError, match="hidden"):
             NorLayer(LayerSpec(kind, n), 4, 0, rng)
     with pytest.raises(ValueError, match="kind"):
@@ -193,19 +193,37 @@ def test_topology_validation():
         for n, wiring in ((1, None), (None, "tier1_own")):
             with pytest.raises(ValueError, match="plain layer kind"):
                 LayerSpec(kind, n, wiring)
-        with pytest.raises(ValueError, match="composite kind"):
-            NorLayer(LayerSpec(kind), 4, 2, rng)
     for kind, wiring in (("parallel", "layer_input"), ("shared", "tier1_own"),
                          ("parallel2", "tier1_all"), ("gated", "bogus")):
         with pytest.raises(ValueError, match="wiring"):
             LayerSpec(kind, 2, wiring)
 
 
-def test_each_kind_builds_its_layer_class():
+def test_each_kind_has_a_combiner_only_if_composite():
     assert budget.LayerSpec is LayerSpec
     for kind, entry in LAYER_KINDS.items():
-        layer = make_layer(LayerSpec(kind), 4, 3, np.random.default_rng(0))
-        assert type(layer) is (CellLayer if entry.default_n is None else NorLayer)
+        layer = NorLayer(LayerSpec(kind), 4, 3, np.random.default_rng(0))
+        plain = entry.default_n is None
+        assert (layer.w_mlp is None) == plain
+        assert any(".combiner." in name for name in layer.named_parameters()) != plain
+
+
+@pytest.mark.parametrize("kind", ["simple", "gru", "lstm"])
+def test_plain_layer_is_its_cell_stepped_from_zero_state(kind):
+    layer = NorLayer(LayerSpec(kind), 4, 3, np.random.default_rng(50))
+    cell = new_cell_params(kind, 4, 3, np.random.default_rng(50))
+    assert layer.w_mlp is None and len(layer.cells) == 1 and len(layer.cells[0]) == 1
+    assert list(layer.named_parameters("layer0")) == [
+        f"layer0.{part}_{g}" for g in GATE_NAMES[kind] for part in ("w", "u", "b")]
+    xs = np.random.default_rng(51).normal(size=(5, 4))
+    outs, state = unroll(layer, [Tensor(x) for x in xs])
+    st = zero_state(kind, 3)
+    for t, x in enumerate(xs):
+        st = cell_step(Tensor(x), st, cell)
+        assert outs[t].data.tobytes() == st.h.data.tobytes()
+    assert state[0][0].h.data.tobytes() == st.h.data.tobytes()
+    if kind == "lstm":
+        assert state[0][0].c.data.tobytes() == st.c.data.tobytes()
 
 
 def test_unroll_threads_state_and_rejects_empty():
@@ -216,7 +234,7 @@ def test_unroll_threads_state_and_rejects_empty():
     o0, s0 = layer.step(xs[0], layer.initial_state())
     o1, s1 = layer.step(xs[1], s0)
     assert outs[1].data.tobytes() == o1.data.tobytes()
-    assert state[0][0].data.tobytes() == s1[0][0].data.tobytes()
+    assert state[0][0].h.data.tobytes() == s1[0][0].h.data.tobytes()
     with pytest.raises(ValueError):
         unroll(layer, [])
 
