@@ -351,8 +351,7 @@ def _gradcheck_scenario(kind: str, input_dim: int, hidden: int, steps: int,
         feats = [Tensor(rng.normal(size=input_dim)) for _ in range(steps)]
         tags = [int(rng.integers(head.tags)) for _ in range(steps)]
         def crf_loss():
-            rows = [head.emission(h).reshape((1, head.tags)) for h in feats]
-            return crf_neg_log_likelihood(concat(rows, axis=0), tags, head)
+            return crf_neg_log_likelihood([head.emission(h) for h in feats], tags, head)
         return crf_loss, head.named()
 
     layer_kind = presets.TOPOLOGY_ALIASES.get(kind, kind)

@@ -3,9 +3,10 @@
 The classification head pools layer outputs across time with elementwise
 max (ties resolve to the earliest step) and applies a linear projection
 with softmax cross-entropy.  The tagging head scores tag sequences with
-per-step emissions plus a transition matrix over K real tags and two
-virtual states (start, stop); the partition function runs on the tape so
-the negative log-likelihood is differentiable end to end.
+per-step emission vectors plus a transition matrix over K real tags and
+two virtual states (start, stop).  The negative log-likelihood is one tape
+op: the forward algorithm in numpy, and reverse mode through that
+recursion, whose gradient is the expected minus the observed counts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, log_sum_exp, matmul, maximum, reshape, sub
+from .tensor import Tensor, _emit, _lse, add, log_sum_exp, matmul, maximum, sub
 
 __all__ = [
     "SoftmaxHeadParams", "CrfParams", "new_softmax_head", "new_crf_head",
@@ -112,55 +113,75 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
     return sub(log_sum_exp(logits), logits[label])
 
 
-def _check_tags(tags, k):
-    if len(tags) == 0:
-        raise ValueError("empty tag sequence")
+def _stacked(emissions, params: CrfParams) -> np.ndarray:
+    """The (T, K) matrix of a non-empty list of K-vector emissions."""
+    if not emissions:
+        raise ValueError("cannot score an empty sequence")
+    k = params.tags
+    bad = [e.shape for e in emissions if e.shape != (k,)]
+    if bad:
+        raise ValueError(f"emissions must be vectors of the head's {k} tags, got {bad[0]}")
+    return np.array([e.data for e in emissions])
+
+
+def crf_neg_log_likelihood(emissions: list[Tensor], tags: list[int], params: CrfParams) -> Tensor:
+    """NLL of a tag sequence, log-partition minus the path score, as one op
+    over the per-step emission vectors and the transitions.
+
+    Path score and partition accumulate with the same association order, so
+    with a single tag the loss is exactly zero.  The gradient runs reverse
+    mode through the forward algorithm: the expected counts less the
+    observed ones.
+    """
+    if len(emissions) != len(tags):
+        raise ValueError(f"{len(emissions)} emission steps but {len(tags)} tags")
+    em = _stacked(emissions, params)
+    T, k = em.shape
     for t in tags:
         if not 0 <= t < k:
             raise ValueError(f"tag {t} out of range for {k} tags")
-
-
-def crf_neg_log_likelihood(emissions: Tensor, tags: list[int], params: CrfParams) -> Tensor:
-    """NLL of a tag sequence: log-partition minus the path score.
-
-    emissions is (T, K).  Path score and partition accumulate with the same
-    association order, so with a single tag the loss is exactly zero.
-    """
-    T, k = emissions.data.shape
-    if k != params.tags:
-        raise ValueError(f"emissions have {k} tags, head expects {params.tags}")
-    if T != len(tags):
-        raise ValueError(f"{T} emission steps but {len(tags)} tags")
-    _check_tags(tags, k)
     trans = params.transitions
-    start, stop = params.start, params.stop
+    tr, start, stop = trans.data, params.start, params.stop
 
-    steps, ones = trans[0:k, 0:k], Tensor(np.ones((1, k)))
-    score = add(trans[start, tags[0]], emissions[0, tags[0]])
-    alpha = add(trans[start, 0:k], emissions[0])
+    score = tr[start, tags[0]] + em[0, tags[0]]
+    alpha = tr[start, :k] + em[0]
+    soft = []                                    # each step's d alpha / d cand
     for t in range(1, T):
-        score = add(add(score, trans[tags[t - 1], tags[t]]), emissions[t, tags[t]])
-        # cand[i, j] = alpha[i] + trans[i, j]; the product with ones copies alpha exactly
-        cand = add(matmul(reshape(alpha, (k, 1)), ones), steps)
-        alpha = add(log_sum_exp(cand), emissions[t])
-    score = add(score, trans[tags[-1], stop])
-    log_z = log_sum_exp(add(alpha, trans[0:k, stop]))
-    return sub(log_z, score)
+        score = score + tr[tags[t - 1], tags[t]] + em[t, tags[t]]
+        # cand[i, j] = alpha[i] + tr[i, j], the paths into j by way of i
+        lse, p = _lse(alpha[:, None] + tr[:k, :k])
+        soft.append(p)
+        alpha = lse + em[t]
+    score = score + tr[tags[-1], stop]
+    log_z, p_last = _lse(alpha + tr[:k, stop])
+
+    def bwd(g):
+        g = float(g)
+        g_em, g_tr = np.empty((T, k)), np.zeros_like(tr)
+        g_alpha = g * p_last
+        g_tr[:k, stop] = g_alpha
+        for t in range(T - 1, 0, -1):
+            g_em[t] = g_alpha
+            g_cand = soft[t - 1] * g_alpha
+            g_tr[:k, :k] += g_cand
+            g_alpha = g_cand.sum(axis=1)
+        g_em[0] = g_alpha
+        g_tr[start, :k] += g_alpha
+        g_em[np.arange(T), tags] -= g
+        for i, j in zip([start, *tags], [*tags, stop]):
+            g_tr[i, j] -= g
+        return (*g_em, g_tr)
+
+    return _emit("crf_nll", np.asarray(log_z - score), (*emissions, trans), bwd)
 
 
-def crf_viterbi_decode(emissions, params: CrfParams) -> tuple[list[int], float]:
+def crf_viterbi_decode(emissions: list[Tensor], params: CrfParams) -> tuple[list[int], float]:
     """Best-scoring tag sequence and its score; ties pick the lowest tag index.
 
     Pure numpy, no tape involvement.
     """
-    em = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions, dtype=np.float64)
-    if em.ndim != 2:
-        raise ValueError(f"emissions must be (T, K), got shape {em.shape}")
+    em = _stacked(emissions, params)
     T, k = em.shape
-    if T == 0:
-        raise ValueError("cannot decode an empty sequence")
-    if k != params.tags:
-        raise ValueError(f"emissions have {k} tags, head expects {params.tags}")
     tr = params.transitions.data
     start, stop = params.start, params.stop
 

@@ -16,7 +16,7 @@ from .heads import (crf_neg_log_likelihood, crf_viterbi_decode,
                     max_pool_over_time, new_crf_head, new_softmax_head,
                     softmax_cross_entropy)
 from .nor import NorLayer, bidirectional_wrap, unroll
-from .tensor import Tensor, concat, reshape
+from .tensor import Tensor
 from .training import apply_dropout
 from . import data as data_io
 
@@ -124,10 +124,8 @@ class SequenceTagger(_ModelBase):
     head_kind = "crf"
     _new_head = staticmethod(new_crf_head)
 
-    def _emissions(self, tokens, rng, dropout, training) -> Tensor:
-        xs = self._encode(tokens, rng, dropout, training)
-        rows = [reshape(self.head.emission(h), (1, self.head.tags)) for h in xs]
-        return concat(rows, axis=0)
+    def _emissions(self, tokens, rng, dropout, training) -> list[Tensor]:
+        return [self.head.emission(h) for h in self._encode(tokens, rng, dropout, training)]
 
     def loss(self, tokens, tags, rng=None, dropout: float = 0.0,
              training: bool = False) -> Tensor:

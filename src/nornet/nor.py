@@ -116,15 +116,15 @@ class LayerSpec:
             return [("simple",)] * self.n[0] + [("simple", "simple")] * self.n[1]
         return [("simple",) * (1 if self.kind == "parallel" else 2)] * self.n
 
-    def tier2_feed(self, layer_input, tier1: list, i: int, join):
-        """What tier 2 of subnetwork i reads: its own tier-1 output, the
-        layer input, or every tier-1 output joined.  Takes widths (join=sum)
-        or tensors (join=concat)."""
+    def tier2_feeds(self, layer_input, tier1: list, join) -> list:
+        """What tier 2 of each subnetwork reads: its own tier-1 output, the
+        layer input, or every tier-1 output joined once for all.  Takes
+        widths (join=sum) or tensors (join=concat)."""
         if self.wiring == "layer_input":
-            return layer_input
+            return [layer_input] * len(tier1)
         if self.wiring == "tier1_all":
-            return join(tier1)
-        return tier1[i]
+            return [join(tier1)] * len(tier1)
+        return tier1
 
     def merge(self, outs: list, product) -> list:
         """What the combiner reads: every subnetwork output, or for "gated"
@@ -144,8 +144,9 @@ class LayerSpec:
         """
         kinds = self.cell_kinds()
         widths = [hidden] * len(kinds)
-        cells = [[(kind, self.tier2_feed(input_dim, widths, i, sum) if t else input_dim, hidden)
-                  for t, kind in enumerate(tiers)] for i, tiers in enumerate(kinds)]
+        feeds = self.tier2_feeds(input_dim, widths, sum)
+        cells = [[(kind, feeds[i] if t else input_dim, hidden) for t, kind in enumerate(tiers)]
+                 for i, tiers in enumerate(kinds)]
         if self.n is None:
             return cells, None
         return cells, sum(self.merge(widths, lambda gate, gen: gate))
@@ -184,11 +185,10 @@ class NorLayer:
         # tier 1 everywhere first, so shared wiring can see every output;
         # every subnetwork reads the same input tensor
         new_state = [[cell_step(x, state[i][0], tiers[0])] for i, tiers in enumerate(self.cells)]
-        tier1 = [mem[0].h for mem in new_state]
+        feeds = self.topology.tier2_feeds(x, [mem[0].h for mem in new_state], concat)
         for i, tiers in enumerate(self.cells):
             if len(tiers) == 2:
-                feed = self.topology.tier2_feed(x, tier1, i, concat)
-                new_state[i].append(cell_step(feed, state[i][1], tiers[1]))
+                new_state[i].append(cell_step(feeds[i], state[i][1], tiers[1]))
         outs = [mem[-1].h for mem in new_state]
         if self.w_mlp is None:
             return outs[0], new_state

@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeError", "grad_check", "GradCheckReport",
     "add", "sub", "scale", "elementwise_mul", "matmul", "block_matmul", "maximum",
-    "relu", "sigmoid", "tanh", "concat", "reshape",
+    "relu", "sigmoid", "tanh", "concat",
     "log_sum_exp", "reduce_sum",
 ]
 
@@ -51,9 +51,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -174,16 +171,18 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 
 # --- reductions ------------------------------------------------------------
 #
-# Forward matrix products add their terms strictly left to right instead of
-# using BLAS.  Sequential accumulation is what makes two of the library's
-# guarantees hold at the bit level: summands that are exactly zero never
-# perturb the result, so a weight matrix padded with zero blocks computes
-# bit-identical outputs to its unpadded form regardless of how the platform
-# BLAS would regroup the terms.  The order rests on numpy reducing a leading
-# axis one row at a time, as checked on numpy 2.4.6.  No bitwise claim rests
-# on gradients, so backward products use BLAS (numpy @; an inner dimension of
-# 1 stays a * b), and a gradient toward a 2-D left operand (a weight) goes to
-# the tape as a factor pair, multiplied out in bulk by Tape.backward.
+# Activations are vectors, and a product is a matrix times a vector.  Forward
+# products (matmul, and each block of block_matmul) add their terms strictly
+# left to right instead of using BLAS.  Sequential accumulation is what makes
+# two of the library's guarantees hold at the bit level: summands that are
+# exactly zero never perturb the result, so a weight matrix padded with zero
+# blocks computes bit-identical outputs to its unpadded form regardless of
+# how the platform BLAS would regroup the terms.  The order rests on numpy
+# reducing a leading axis one row at a time, as checked on numpy 2.4.6.  No
+# bitwise claim rests on gradients, so backward products use BLAS (numpy @;
+# an inner dimension of 1 stays a * b), and the gradient toward the matrix (a
+# weight) goes to the tape as a factor pair, multiplied out in bulk by
+# Tape.backward.  log_sum_exp and reduce_sum are plain numpy sums.
 
 
 def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,33 +209,19 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands, 1-D treated as vector.  Ordered
-    forward (_mm2), BLAS gradients; a 2-D left operand gets the pair (g, Bᵀ)."""
+    """Matrix @ vector: ordered forward (_mm2), BLAS gradients; the matrix
+    gets the factor pair (g, bᵀ)."""
     A, B = a.data, b.data
-    if A.ndim not in (1, 2) or B.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects 1-D or 2-D operands, got {A.shape} and {B.shape}")
-    ka = A.shape[-1]
-    kb = B.shape[0]
-    if ka != kb:
-        raise ShapeError(f"matmul inner dimensions differ: {A.shape} vs {B.shape}")
-    A2 = A if A.ndim == 2 else A[None, :]
-    B2 = B if B.ndim == 2 else B[:, None]
-    out2 = _mm2(A2, B2)
-    if A.ndim == 1 and B.ndim == 1:
-        out = out2[0, 0]
-    elif A.ndim == 1:
-        out = out2[0]
-    elif B.ndim == 1:
-        out = out2[:, 0]
-    else:
-        out = out2
+    if A.ndim != 2 or B.ndim != 1 or A.shape[1] != B.shape[0]:
+        raise ShapeError(f"matmul expects an (m, k) matrix and a (k,) vector, "
+                         f"got {A.shape} and {B.shape}")
+    B2 = B[:, None]
 
     def bwd(g):
-        g2 = np.asarray(g).reshape(A2.shape[0], B2.shape[1])
-        ga = (g2, B2.T) if A.ndim == 2 else _bmm(g2, B2.T).reshape(A.shape)
-        return ga, _bmm(A2.T, g2).reshape(B.shape)
+        g2 = np.asarray(g).reshape(A.shape[0], 1)
+        return (g2, B2.T), _bmm(A.T, g2).reshape(B.shape)
 
-    return _emit("matmul", out, (a, b), bwd)
+    return _emit("matmul", _mm2(A, B2)[:, 0], (a, b), bwd)
 
 
 def block_matmul(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
@@ -309,26 +294,13 @@ def tanh(a: Tensor) -> Tensor:
     return _emit("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if len(parts) == 0:
-        raise ShapeError("concat of zero tensors")
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Vectors joined end to end; the gradient splits back at the seams."""
     datas = [p.data for p in parts]
-    nd = datas[0].ndim
-    if any(d.ndim != nd for d in datas):
-        raise ShapeError("concat operands differ in rank")
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-
-    def bwd(g):
-        grads, at = [], 0
-        for s in sizes:
-            idx = [slice(None)] * nd
-            idx[axis] = slice(at, at + s)
-            grads.append(g[tuple(idx)])
-            at += s
-        return tuple(grads)
-
-    return _emit("concat", out, tuple(parts), bwd)
+    if not datas or any(d.ndim != 1 for d in datas):
+        raise ShapeError(f"concat expects one or more vectors, got {[d.shape for d in datas]}")
+    edges = np.cumsum([d.size for d in datas])[:-1]
+    return _emit("concat", np.concatenate(datas), tuple(parts), lambda g: tuple(np.split(g, edges)))
 
 
 def slice_(a: Tensor, key) -> Tensor:
@@ -352,23 +324,21 @@ def slice_(a: Tensor, key) -> Tensor:
     return _emit("slice", out, (a,), bwd)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-    out = a.data.reshape(shape)
-    return _emit("reshape", out, (a,), lambda g: (np.asarray(g).reshape(orig),))
-
-
-def log_sum_exp(a: Tensor) -> Tensor:
-    """Shift-stable log(sum(exp(.))) down the first axis: a vector gives a scalar."""
-    v = a.data
-    if v.ndim not in (1, 2):
-        raise ShapeError(f"log_sum_exp expects a vector or a matrix, got shape {v.shape}")
+def _lse(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shift-stable log(sum(exp(v))) down the first axis, and its gradient
+    toward v, the softmax down that axis."""
     m = v.max(axis=0)
     e = np.exp(v - m)
     s = e.sum(axis=0)
-    out = np.asarray(m + np.log(s))
-    soft = e / s
-    return _emit("log_sum_exp", out, (a,), lambda g: (np.asarray(g) * soft,))
+    return m + np.log(s), e / s
+
+
+def log_sum_exp(a: Tensor) -> Tensor:
+    """Shift-stable log(sum(exp(v))) of a vector v."""
+    if a.data.ndim != 1:
+        raise ShapeError(f"log_sum_exp expects a vector, got shape {a.data.shape}")
+    out, soft = _lse(a.data)
+    return _emit("log_sum_exp", np.asarray(out), (a,), lambda g: (np.asarray(g) * soft,))
 
 
 def reduce_sum(a: Tensor) -> Tensor:

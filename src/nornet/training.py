@@ -52,14 +52,14 @@ class TrainConfig:
             raise ValueError("pad_length must be positive when set")
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and denominator floor
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
@@ -71,7 +71,6 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
@@ -79,13 +78,13 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                              f"parameter is {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** state.t)
-        v_hat = v / (1 - b2 ** state.t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        m_hat = m / (1 - BETA1 ** state.t)
+        v_hat = v / (1 - BETA2 ** state.t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def apply_dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

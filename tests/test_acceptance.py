@@ -90,8 +90,7 @@ def _gradient_scenarios(rng):
     tags = [int(rng.integers(crf.tags)) for _ in range(steps)]
 
     def crf_loss():
-        rows = [crf.emission(f).reshape((1, crf.tags)) for f in feats]
-        return crf_neg_log_likelihood(concat(rows, axis=0), tags, crf)
+        return crf_neg_log_likelihood([crf.emission(f) for f in feats], tags, crf)
 
     yield "head/crf", crf_loss, crf.named()
 
@@ -186,10 +185,9 @@ def test_04_crf_matches_bruteforce_enumeration(capsys):
             head.transitions.data[...] = rng.normal(size=(k + 2, k + 2))
             feats = [Tensor(rng.normal(size=3)) for _ in range(T)]
             tags = [int(rng.integers(k)) for _ in range(T)]
-            rows = [head.emission(f).reshape((1, k)) for f in feats]
-            em = concat(rows, axis=0)
+            em = [head.emission(f) for f in feats]
 
-            scores = _enumerate_paths(em.data, head.transitions.data, k,
+            scores = _enumerate_paths(np.array([e.data for e in em]), head.transitions.data, k,
                                       head.start, head.stop)
             vals = np.array(list(scores.values()))
             m = vals.max()

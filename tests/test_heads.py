@@ -7,7 +7,7 @@ import pytest
 from nornet.heads import (CrfParams, crf_neg_log_likelihood, crf_viterbi_decode,
                           max_pool_over_time, new_crf_head, new_softmax_head,
                           softmax_cross_entropy)
-from nornet.tensor import Tape, Tensor, concat, grad_check, reduce_sum, reshape
+from nornet.tensor import Tape, Tensor, grad_check, reduce_sum
 
 
 def _random_crf(k, d, rng):
@@ -17,13 +17,13 @@ def _random_crf(k, d, rng):
     return head
 
 
-def _emission_matrix(head, feats):
-    rows = [reshape(head.emission(f), (1, head.tags)) for f in feats]
-    return concat(rows, axis=0)
+def _emissions(head, feats):
+    return [head.emission(f) for f in feats]
 
 
-def _enumerate_paths(em, tr, k, start, stop):
+def _enumerate_paths(emissions, tr, k, start, stop):
     """Score every tag path by brute force; returns {path: score}."""
+    em = np.array([e.data for e in emissions])
     T = em.shape[0]
     scores = {}
     for path in itertools.product(range(k), repeat=T):
@@ -91,10 +91,10 @@ def test_crf_nll_matches_enumeration():
         head = _random_crf(k, 3, rng)
         feats = [Tensor(rng.normal(size=3)) for _ in range(T)]
         tags = [int(rng.integers(k)) for _ in range(T)]
-        em = _emission_matrix(head, feats)
+        em = _emissions(head, feats)
         nll = crf_neg_log_likelihood(em, tags, head).item()
 
-        scores = _enumerate_paths(em.data, head.transitions.data, k, head.start, head.stop)
+        scores = _enumerate_paths(em, head.transitions.data, k, head.start, head.stop)
         all_scores = np.array(list(scores.values()))
         m = all_scores.max()
         log_z = m + math.log(np.exp(all_scores - m).sum())
@@ -109,7 +109,7 @@ def test_crf_single_tag_loss_is_exactly_zero():
     head = _random_crf(1, 3, rng)
     for T in (1, 2, 5):
         feats = [Tensor(rng.normal(size=3)) for _ in range(T)]
-        em = _emission_matrix(head, feats)
+        em = _emissions(head, feats)
         assert crf_neg_log_likelihood(em, [0] * T, head).item() == 0.0
 
 
@@ -118,7 +118,7 @@ def test_crf_node_count_does_not_grow_with_tags():
     counts = []
     for k in (1, 3, 9):
         head = _random_crf(k, 3, rng)
-        em = Tensor(rng.normal(size=(4, k)))
+        em = [Tensor(v) for v in rng.normal(size=(4, k))]
         with Tape() as tape:
             crf_neg_log_likelihood(em, [0, k - 1, 0, k - 1], head)
         counts.append(sum(node.kind != "leaf" for node in tape.nodes))
@@ -129,20 +129,24 @@ def test_crf_nll_is_positive_with_alternatives():
     rng = np.random.default_rng(55)
     head = _random_crf(3, 3, rng)
     feats = [Tensor(rng.normal(size=3)) for _ in range(4)]
-    em = _emission_matrix(head, feats)
+    em = _emissions(head, feats)
     assert crf_neg_log_likelihood(em, [0, 1, 2, 0], head).item() > 0.0
 
 
 def test_crf_input_validation():
     rng = np.random.default_rng(56)
     head = _random_crf(3, 3, rng)
-    em = _emission_matrix(head, [Tensor(rng.normal(size=3)) for _ in range(2)])
+    em = _emissions(head, [Tensor(rng.normal(size=3)) for _ in range(2)])
     with pytest.raises(ValueError):
         crf_neg_log_likelihood(em, [0], head)      # length mismatch
     with pytest.raises(ValueError):
         crf_neg_log_likelihood(em, [0, 3], head)   # tag out of range
     with pytest.raises(ValueError):
         crf_neg_log_likelihood(em, [], head)
+    with pytest.raises(ValueError):
+        crf_neg_log_likelihood([Tensor(np.zeros(2))] * 2, [0, 1], head)   # 2 tags, head has 3
+    with pytest.raises(ValueError):
+        crf_viterbi_decode([], head)
 
 
 def test_viterbi_matches_enumeration():
@@ -150,10 +154,10 @@ def test_viterbi_matches_enumeration():
     for k, T in [(2, 4), (3, 3), (4, 4)]:
         head = _random_crf(k, 3, rng)
         feats = [Tensor(rng.normal(size=3)) for _ in range(T)]
-        em = _emission_matrix(head, feats)
+        em = _emissions(head, feats)
         path, score = crf_viterbi_decode(em, head)
 
-        scores = _enumerate_paths(em.data, head.transitions.data, k, head.start, head.stop)
+        scores = _enumerate_paths(em, head.transitions.data, k, head.start, head.stop)
         best = max(scores.values())
         assert score == pytest.approx(best, abs=1e-10)
         assert scores[tuple(path)] == pytest.approx(best, abs=1e-10)
@@ -163,10 +167,37 @@ def test_viterbi_tie_breaks_to_lowest_tag_index():
     # all-zero scores make every path equal; argmax must settle on tag 0
     head = CrfParams(proj_w=Tensor(np.zeros((3, 2))), proj_b=Tensor(np.zeros(3)),
                      transitions=Tensor(np.zeros((5, 5))))
-    em = Tensor(np.zeros((4, 3)))
+    em = [Tensor(np.zeros(3)) for _ in range(4)]
     path, score = crf_viterbi_decode(em, head)
     assert path == [0, 0, 0, 0]
     assert score == 0.0
+
+
+def test_crf_gradient_is_expected_minus_observed_counts():
+    # d nll / d score-term = P(term is on the path) - [term is on the gold path],
+    # with P found by enumerating every path
+    rng = np.random.default_rng(61)
+    worst = 0.0
+    for k, T in itertools.product(range(1, 5), range(1, 5)):
+        head = _random_crf(k, 3, rng)
+        em = [Tensor(v) for v in rng.normal(size=(T, k))]
+        tags = [int(t) for t in rng.integers(k, size=T)]
+        with Tape() as tape:
+            tape.backward(crf_neg_log_likelihood(em, tags, head))
+        scores = _enumerate_paths(em, head.transitions.data, k, head.start, head.stop)
+        vals = np.array(list(scores.values()))
+        probs = np.exp(vals - vals.max())
+        probs /= probs.sum()
+        want_em = np.zeros((T, k))
+        want_tr = np.zeros(head.transitions.shape)
+        for path, p in [*zip(scores, probs), (tuple(tags), -1.0)]:
+            want_em[np.arange(T), path] += p
+            for i, j in zip([head.start, *path], [*path, head.stop]):
+                want_tr[i, j] += p
+        got_em = np.array([tape.grad(e) for e in em])
+        worst = max(worst, np.abs(got_em - want_em).max(),
+                    np.abs(tape.grad(head.transitions) - want_tr).max())
+    assert worst < 1e-10, worst
 
 
 def test_crf_gradcheck():
@@ -175,7 +206,7 @@ def test_crf_gradcheck():
     feats = [Tensor(rng.normal(size=4)) for _ in range(3)]
 
     def f():
-        return crf_neg_log_likelihood(_emission_matrix(head, feats), [0, 2, 1], head)
+        return crf_neg_log_likelihood(_emissions(head, feats), [0, 2, 1], head)
 
     report = grad_check(f, head.named())
     assert report.passed, report.lines()

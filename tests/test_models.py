@@ -65,6 +65,15 @@ def test_tagger_runs_and_scores():
     assert 0.0 <= f1 <= 1.0
 
 
+def test_tagger_likelihood_is_one_tape_node():
+    model, _ = _tagger()
+    with Tape() as tape:
+        model.loss([2, 3, 4, 5], [0, 1, 2, 0])
+    kinds = [node.kind for node in tape.nodes]
+    assert kinds.count("crf_nll") == 1 and kinds[-1] == "crf_nll"
+    assert not {"reshape", "slice", "log_sum_exp"} & set(kinds)
+
+
 def test_empty_sequence_rejected():
     model, _ = _classifier()
     with pytest.raises(ValueError):

@@ -169,6 +169,14 @@ def test_wiring_controls_tier2_input_width():
     assert shared.cells[0][1].input_dim == 6
 
 
+def test_shared_layer_joins_tier1_outputs_once_per_step():
+    rng = np.random.default_rng(44)
+    layer = NorLayer(LayerSpec("shared", 3), 4, 2, rng)
+    with Tape() as tape:
+        unroll(layer, [Tensor(x) for x in rng.normal(size=(5, 4))])
+    assert sum(node.kind == "concat" for node in tape.nodes) == 5
+
+
 def test_layer_rejects_wrong_input_shape():
     rng = np.random.default_rng(44)
     layer = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)

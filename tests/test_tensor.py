@@ -7,13 +7,13 @@ import pytest
 
 from nornet.tensor import (ShapeError, Tape, Tensor, _mm2, add, block_matmul, concat,
                            elementwise_mul, grad_check, log_sum_exp, matmul,
-                           maximum, reduce_sum, relu, reshape, scale,
+                           maximum, reduce_sum, relu, scale,
                            sigmoid, slice_, sub, tanh)
 
 
 def test_matmul_matches_numpy_dot():
     rng = np.random.default_rng(0)
-    for shapes in [((3, 4), (4, 5)), ((4,), (4, 2)), ((3, 4), (4,)), ((5,), (5,))]:
+    for shapes in [((3, 4), (4,)), ((1, 5), (5,)), ((6, 1), (1,)), ((2, 9), (9,))]:
         a = rng.normal(size=shapes[0])
         b = rng.normal(size=shapes[1])
         got = matmul(Tensor(a), Tensor(b)).data
@@ -22,7 +22,7 @@ def test_matmul_matches_numpy_dot():
 
 def test_matmul_exact_on_integers():
     a = np.arange(6.0).reshape(2, 3)
-    b = np.arange(12.0).reshape(3, 4)
+    b = np.arange(3.0)
     assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
 
 
@@ -130,10 +130,11 @@ def test_block_matmul_gradcheck_and_shape_errors():
 
 
 def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-    with pytest.raises(ShapeError):
-        matmul(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)))
+    # a matrix times a vector is the only product
+    for a, b in [((2, 3), (4,)), ((2, 2, 2), (2,)), ((2, 3), (3, 4)), ((3,), (3, 4)),
+                 ((3,), (3,)), ((), ())]:
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 def test_elementwise_shape_checks():
@@ -181,8 +182,10 @@ def test_weight_used_past_the_flush_rank_matches_fsum():
     w = Tensor(rng.normal(size=(3, 5)))
     xs, cs = rng.normal(size=(10, 5)), rng.normal(size=(10, 3))
     with Tape() as tape:
-        losses = [_weighted_sum(matmul(w, Tensor(x)), c) for x, c in zip(xs, cs)]
-        tape.backward(reduce_sum(concat([reshape(l, (1,)) for l in losses])))
+        total = _weighted_sum(matmul(w, Tensor(xs[0])), cs[0])
+        for x, c in zip(xs[1:], cs[1:]):
+            total = add(total, _weighted_sum(matmul(w, Tensor(x)), c))
+        tape.backward(total)
     want = np.array([[math.fsum(cs[:, i] * xs[:, j]) for j in range(5)] for i in range(3)])
     np.testing.assert_allclose(tape.grad(w), want, rtol=1e-12, atol=0)
 
@@ -195,17 +198,6 @@ def test_non_leaf_left_operand_adds_dense_and_factor_gradients():
         w2 = scale(w, 2.0)   # a 2-D op result: dense gradient from the mul, a pair from matmul
         tape.backward(add(_weighted_sum(matmul(w2, Tensor(x)), c), _weighted_sum(w2, d)))
     np.testing.assert_allclose(tape.grad(w), 2.0 * (np.outer(c, x) + d), rtol=1e-14)
-
-
-def test_one_dimensional_left_operand_gets_a_dense_gradient():
-    rng = np.random.default_rng(23)
-    x, w, g = rng.normal(size=4), rng.normal(size=(4, 3)), rng.normal(size=3)
-    with Tape() as tape:
-        y = matmul(Tensor(x), Tensor(w))
-        gx, gw = tape.nodes[y.node_id].backward(g)
-    assert isinstance(gx, np.ndarray) and gx.shape == (4,)
-    np.testing.assert_allclose(gx, w @ g, rtol=1e-14)
-    assert gw.tobytes() == np.outer(x, g).tobytes()
 
 
 def test_backward_keeps_only_leaf_gradients():
@@ -372,14 +364,12 @@ def test_log_sum_exp_matches_oracle_and_survives_large_inputs():
     v = np.array([1000.0, 1000.0])
     got = log_sum_exp(Tensor(v)).item()
     assert got == pytest.approx(1000.0 + np.log(2.0), abs=1e-12)
-    # a matrix reduces down its first axis, one value per column
-    m = np.random.default_rng(4).normal(size=(3, 4)) * 10
-    got = log_sum_exp(Tensor(m)).data
-    assert got.shape == (4,)
-    for j in range(4):
-        assert got[j] == pytest.approx(math.log(sum(math.exp(v) for v in m[:, j])), rel=1e-14)
-    with pytest.raises(ShapeError):
-        log_sum_exp(Tensor(np.zeros((2, 2, 2))))
+    w = np.random.default_rng(4).normal(size=4) * 10
+    assert log_sum_exp(Tensor(w)).item() == pytest.approx(
+        math.log(sum(math.exp(v) for v in w)), rel=1e-14)
+    for shape in [(3, 4), (2, 2, 2), ()]:
+        with pytest.raises(ShapeError):
+            log_sum_exp(Tensor(np.zeros(shape)))
 
 
 def test_slice_gradient_scatters_back():
@@ -400,14 +390,9 @@ def test_concat_roundtrip_and_gradient_split():
         tape.backward(reduce_sum(elementwise_mul(y, y)))
     np.testing.assert_array_equal(tape.grad(a), [2.0, 4.0])
     np.testing.assert_array_equal(tape.grad(b), [6.0])
-
-
-def test_reshape_preserves_gradient_layout():
-    x = Tensor(np.arange(4.0))
-    with Tape() as tape:
-        y = reshape(x, (2, 2))
-        tape.backward(reduce_sum(elementwise_mul(y, y)))
-    np.testing.assert_array_equal(tape.grad(x), 2.0 * np.arange(4.0))
+    for parts in ([], [a, Tensor(np.zeros((1, 2)))], [Tensor(np.asarray(1.0))]):
+        with pytest.raises(ShapeError):
+            concat(parts)
 
 
 def test_operator_sugar_matches_functions():

@@ -35,7 +35,7 @@ def test_grad_diff_of_a_tree_against_itself_is_zero():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 16 and lines[0].startswith("trec/irnn ")
+    assert len(lines) == 24 and lines[0].startswith("trec/irnn ")
     assert all(" loss bit-identical " in line and line.endswith(" 0.000e+00") for line in lines)
 
 

@@ -7,7 +7,7 @@ from nornet.budget import HeadSpec, LayerSpec, ModelConfig
 from nornet.data import CorpusSplits, Vocabulary, random_embeddings
 from nornet.models import build_model
 from nornet.tensor import ShapeError, Tensor, elementwise_mul, reduce_sum, scale, sub
-from nornet.training import (AdamState, NumericError, TrainConfig, adam_step,
+from nornet.training import (EPS, AdamState, NumericError, TrainConfig, adam_step,
                              apply_dropout, train, write_metric_log)
 
 
@@ -17,7 +17,7 @@ def test_adam_first_step_closed_form():
     state = AdamState.for_params({"p": p})
     adam_step({"p": p}, {"p": g}, state, lr=0.1)
     # t=1 bias correction makes m_hat = g and v_hat = g^2 exactly
-    want = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + state.eps)
+    want = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + EPS)
     assert p.data[0] == pytest.approx(want, abs=1e-15)
     assert state.t == 1
 

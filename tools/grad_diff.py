@@ -2,9 +2,9 @@
 
     python3 tools/grad_diff.py PARENT_TREE CHANGE_TREE
 
-For the trec and conll presets and every standard topology plus ma2, each
-tree builds the preset model at hidden size 6 from fixed seeds, takes one
-6-sentence batch with the preset's dropout, and backpropagates the batch
+For the trec, conll and sst presets and every standard topology plus ma2,
+each tree builds the preset model at hidden size 6 from fixed seeds, takes
+one 6-sentence batch with the preset's dropout, and backpropagates the batch
 loss.  Each tree runs in its own process, with `<tree>/src` on the path.
 One line per family says whether the two batch losses are bit-identical and
 gives the largest max|dg| / max|g| over the family's parameters.  The script
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-TASKS = ("trec", "conll")
+TASKS = ("trec", "conll", "sst")
 HIDDEN, SENTENCES, TOLERANCE = 6, 6, 1e-12
 
 
