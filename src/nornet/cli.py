@@ -3,7 +3,7 @@
 Run settings come from an INI config file with [model], [train] and [data]
 sections; a handful of flags override the file.  Exit codes distinguish
 failure classes: 2 for configuration problems, 3 for data problems, 4 for
-numeric blowups (non-finite loss).
+numeric blowups (a non-finite loss or gradient).
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 The classification head pools layer outputs across time with elementwise
 max (ties resolve to the earliest step) and applies a linear projection
-with softmax cross-entropy.  The tagging head scores tag sequences with
-per-step emission vectors plus a transition matrix over K real tags and
-two virtual states (start, stop).  The negative log-likelihood is one tape
-op: the forward algorithm in numpy, and reverse mode through that
-recursion, whose gradient is the expected minus the observed counts.
+with softmax cross-entropy; the pool and the loss are one tape op each.
+The tagging head scores tag sequences with per-step emission vectors plus
+a transition matrix over K real tags and two virtual states (start, stop).
+The negative log-likelihood is one tape op: the forward algorithm in
+numpy, and reverse mode through that recursion, whose gradient is the
+expected minus the observed counts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _emit, _lse, add, log_sum_exp, matmul, maximum, sub
+from .tensor import ShapeError, Tensor, _emit, _lse, add, matmul
 
 __all__ = [
     "SoftmaxHeadParams", "CrfParams", "new_softmax_head", "new_crf_head",
@@ -95,22 +96,39 @@ def new_crf_head(feature_dim: int, tags: int, rng: np.random.Generator) -> CrfPa
 
 
 def max_pool_over_time(outputs: list[Tensor]) -> Tensor:
-    """Elementwise max across the sequence; gradient goes to the earliest
-    step on exact ties."""
+    """Elementwise max over time as one op.  Each entry's gradient goes to its
+    winning step: the earliest on ties, and the first NaN over any number."""
     if not outputs:
         raise ValueError("cannot pool an empty sequence")
-    acc = outputs[0]
-    for t in outputs[1:]:
-        acc = maximum(acc, t)
-    return acc
+    shapes = sorted({t.shape for t in outputs})
+    if len(shapes) != 1 or len(shapes[0]) != 1:
+        raise ShapeError(f"max pool expects vectors of one shape, got {shapes}")
+    stack = np.array([t.data for t in outputs])
+    win, cols = stack.argmax(axis=0), np.arange(stack.shape[1])
+
+    def bwd(g):
+        to_steps = np.zeros_like(stack)
+        to_steps[win, cols] = g
+        return tuple(to_steps)
+
+    return _emit("max_pool", stack[win, cols], tuple(outputs), bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], shift-stable."""
-    k = logits.data.shape[0]
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range for {k} classes")
-    return sub(log_sum_exp(logits), logits[label])
+    """-log softmax(logits)[label], shift-stable, as one op."""
+    z = logits.data
+    if z.ndim != 1:
+        raise ShapeError(f"logits must be a vector, got shape {z.shape}")
+    if not 0 <= label < z.shape[0]:
+        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
+    lse, soft = _lse(z)
+
+    def bwd(g):
+        gz = g * soft
+        gz[label] -= g
+        return (gz,)
+
+    return _emit("softmax_ce", np.asarray(lse - z[label]), (logits,), bwd)
 
 
 def _stacked(emissions, params: CrfParams) -> np.ndarray:

@@ -11,16 +11,15 @@ can be reused across many tapes, including tapes on other threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "grad_check", "GradCheckReport",
-    "add", "sub", "scale", "elementwise_mul", "matmul", "block_matmul", "maximum",
-    "relu", "sigmoid", "tanh", "concat",
-    "log_sum_exp", "reduce_sum",
+    "add", "sub", "scale", "elementwise_mul", "matmul", "block_matmul",
+    "relu", "sigmoid", "tanh", "concat", "reduce_sum",
 ]
 
 
@@ -51,9 +50,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, node_id={self.node_id})"
@@ -182,7 +178,8 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 # bitwise claim rests on gradients, so backward products use BLAS (numpy @;
 # an inner dimension of 1 stays a * b), and the gradient toward the matrix (a
 # weight) goes to the tape as a factor pair, multiplied out in bulk by
-# Tape.backward.  log_sum_exp and reduce_sum are plain numpy sums.
+# Tape.backward.  _lse (the heads' log-partitions) and reduce_sum are plain
+# numpy sums.
 
 
 def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,14 +262,6 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; on ties the gradient flows to the first operand."""
-    _same_shape(a, b, "maximum")
-    take_a = a.data >= b.data
-    out = np.where(take_a, a.data, b.data)
-    return _emit("maximum", out, (a, b), lambda g: (g * take_a, g * ~take_a))
-
-
 def relu(a: Tensor) -> Tensor:
     # subgradient at exactly 0 is defined as 0
     mask = a.data > 0
@@ -303,27 +292,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _emit("concat", np.concatenate(datas), tuple(parts), lambda g: tuple(np.split(g, edges)))
 
 
-def slice_(a: Tensor, key) -> Tensor:
-    """Basic indexing (ints and slices, no steps); gradients scatter back."""
-    if not isinstance(key, tuple):
-        key = (key,)
-    for k in key:
-        if isinstance(k, slice):
-            if k.step not in (None, 1):
-                raise ShapeError("sliced steps are not supported")
-        elif not isinstance(k, (int, np.integer)):
-            raise ShapeError(f"unsupported index component: {k!r}")
-    out = a.data[key]
-    in_shape = a.data.shape
-
-    def bwd(g):
-        full = np.zeros(in_shape)
-        full[key] = g
-        return (full,)
-
-    return _emit("slice", out, (a,), bwd)
-
-
 def _lse(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shift-stable log(sum(exp(v))) down the first axis, and its gradient
     toward v, the softmax down that axis."""
@@ -331,14 +299,6 @@ def _lse(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(v - m)
     s = e.sum(axis=0)
     return m + np.log(s), e / s
-
-
-def log_sum_exp(a: Tensor) -> Tensor:
-    """Shift-stable log(sum(exp(v))) of a vector v."""
-    if a.data.ndim != 1:
-        raise ShapeError(f"log_sum_exp expects a vector, got shape {a.data.shape}")
-    out, soft = _lse(a.data)
-    return _emit("log_sum_exp", np.asarray(out), (a,), lambda g: (np.asarray(g) * soft,))
 
 
 def reduce_sum(a: Tensor) -> Tensor:

@@ -20,7 +20,7 @@ __all__ = [
 
 
 class NumericError(ArithmeticError):
-    """Raised when a loss stops being finite."""
+    """Raised when a loss or a gradient stops being finite."""
 
 
 @dataclass
@@ -168,6 +168,9 @@ def train(model, corpus, config: TrainConfig) -> TrainResult:
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 tape.backward(batch_loss)
                 grads = {name: tape.grad(p) for name, p in params.items()}
+            bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise NumericError(f"non-finite gradient for {bad} at epoch {epoch}")
             adam_step(params, grads, opt, lr)
             loss_sum += value * len(batch)
             seen += len(batch)

@@ -300,17 +300,22 @@ def test_exit_codes(tmp_path, capsys):
     _write_config(config, tmp_path / "missing.txt")
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
 
-    # an embeddings file carrying inf sends the loss non-finite; use a
-    # gated cell so the nan rides the state to the logits instead of
-    # being zeroed by a relu mask
+    # an embeddings file carrying inf stops training: through a gated cell
+    # the nan rides the state to a non-finite loss; through a relu cell the
+    # loss stays finite but 0 * inf reaches the input weights' gradient,
+    # which the message names
     corpus = tmp_path / "train.txt"
     _write_corpus(corpus)
     vec = tmp_path / "vec.txt"
     vec.write_text("red " + " ".join(["inf"] * 8) + "\n", encoding="utf-8")
-    _write_config(config, corpus, model={"topology": "gru"},
-                  data={"embeddings": str(vec)})
-    assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
     capsys.readouterr()
+    for topology, says in [("gru", "non-finite loss"),
+                           ("ma", "non-finite gradient for layer0.sub0.tier0.w_h"),
+                           ("irnn", "non-finite gradient for layer0.w_h")]:
+        _write_config(config, corpus, model={"topology": topology},
+                      data={"embeddings": str(vec)})
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / topology)]) == 4
+        assert says in capsys.readouterr().err
 
 
 def test_budget_subcommand(capsys):

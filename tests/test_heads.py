@@ -7,7 +7,7 @@ import pytest
 from nornet.heads import (CrfParams, crf_neg_log_likelihood, crf_viterbi_decode,
                           max_pool_over_time, new_crf_head, new_softmax_head,
                           softmax_cross_entropy)
-from nornet.tensor import Tape, Tensor, grad_check, reduce_sum
+from nornet.tensor import ShapeError, Tape, Tensor, grad_check, reduce_sum
 
 
 def _random_crf(k, d, rng):
@@ -56,6 +56,23 @@ def test_max_pool_rejects_empty():
         max_pool_over_time([])
 
 
+def test_max_pool_keeps_a_nan_from_any_step_and_the_earliest_negative_zero():
+    steps = [Tensor(np.array(v)) for v in ([np.nan, 1.0, -0.0], [1.0, 2.0, 0.0], [0.5, 0.5, 0.0])]
+    with Tape() as tape:
+        pooled = max_pool_over_time(steps)
+        tape.backward(reduce_sum(pooled))
+    assert np.isnan(pooled.data[0]) and pooled.data[1] == 2.0
+    assert pooled.data[2] == 0.0 and np.signbit(pooled.data[2])
+    for step, want in zip(steps, ([1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0])):
+        np.testing.assert_array_equal(tape.grad(step), want)
+
+
+def test_max_pool_shape_errors():
+    for shapes in [[(3,), (4,)], [(2, 3), (2, 3)], [()], [(3,), (1, 3)]]:
+        with pytest.raises(ShapeError):
+            max_pool_over_time([Tensor(np.zeros(s)) for s in shapes])
+
+
 def test_softmax_cross_entropy_oracle():
     rng = np.random.default_rng(51)
     logits = rng.normal(size=5) * 3
@@ -64,6 +81,12 @@ def test_softmax_cross_entropy_oracle():
         p = np.exp(logits - logits.max())
         p /= p.sum()
         assert got == pytest.approx(-math.log(p[label]), rel=1e-12)
+    # shift-stable: exp(1000) overflows, the loss does not
+    assert softmax_cross_entropy(Tensor(np.array([1000.0, 1000.0])), 1).item() == pytest.approx(
+        math.log(2.0), abs=1e-12)
+    for shape in [(3, 4), (2, 2, 2), ()]:
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(Tensor(np.zeros(shape)), 0)
 
 
 def test_softmax_cross_entropy_label_range():

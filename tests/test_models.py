@@ -74,6 +74,16 @@ def test_tagger_likelihood_is_one_tape_node():
     assert not {"reshape", "slice", "log_sum_exp"} & set(kinds)
 
 
+def test_classifier_loss_is_two_head_nodes():
+    model, _ = _classifier()
+    with Tape() as tape:
+        model.loss([2, 3, 4, 5], 1, rng=np.random.default_rng(0), dropout=0.5, training=True)
+    kinds = [node.kind for node in tape.nodes]
+    assert kinds.count("max_pool") == 1 and kinds.count("softmax_ce") == 1
+    assert kinds[-1] == "softmax_ce"
+    assert not {"maximum", "slice", "log_sum_exp", "sub"} & set(kinds)
+
+
 def test_empty_sequence_rejected():
     model, _ = _classifier()
     with pytest.raises(ValueError):
