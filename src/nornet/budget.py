@@ -95,14 +95,13 @@ def count_params(config: ModelConfig, hidden: int | None = None) -> int:
     return total
 
 
-def solve_hidden_size(config: ModelConfig, budget: int, tolerance: int | None = None) -> int:
+def solve_hidden_size(config: ModelConfig, budget: int) -> int:
     """Hidden size whose exact count lands nearest the budget.
 
     The count is strictly increasing in h, so the solver bisects for the
     first h at or above the budget and compares it with its predecessor,
-    counting each h once; exact ties prefer the smaller h.  A budget below the h=1 count is an
-    error.  When tolerance is given, the winning count must land within
-    it or a BudgetError is raised.
+    counting each h once; exact ties prefer the smaller h.  A budget below
+    the h=1 count raises BudgetError; any other budget has an answer.
     """
     counts: dict[int, int] = {}
 
@@ -126,59 +125,27 @@ def solve_hidden_size(config: ModelConfig, budget: int, tolerance: int | None = 
             hi = mid
     above = lo
     candidates = [above] if above == 1 else [above - 1, above]
-    best = min(candidates, key=lambda h: (abs(count(h) - budget), h))
-    if tolerance is not None and abs(count(best) - budget) > tolerance:
-        raise BudgetError(
-            f"no hidden size lands within {tolerance} of {budget}; "
-            f"closest is h={best} with {count(best)}")
-    return best
+    return min(candidates, key=lambda h: (abs(count(h) - budget), h))
 
 
-def emit_sizing_table(csv_format: bool = False) -> str:
-    """Solve the standard sizing grid and render it for comparison.
+def emit_sizing_table() -> str:
+    """Solve the standard sizing grid and render it as an aligned table:
+    one row per (task, budget), one column per standard topology.
 
-    Any solved size that disagrees with the reference grid is flagged in
-    place, never replaced.  csv_format=True emits one delimited row per
-    (task, budget, topology) cell instead of the aligned table.
+    A solved size that disagrees with the reference grid is flagged in
+    place as solved(!reference), never replaced.
     """
     from . import presets
 
     topologies = presets.STANDARD_TOPOLOGIES
-    rows = []
+    width = 10
+    lines = [f"{'task':<8}{'budget':>9}  " + "".join(f"{t:>{width}}" for t in topologies)]
     for task in presets.TASKS:
         for budget in presets.default_budgets(task):
             cells = []
             for topo in topologies:
-                config = presets.model_config(task, topo)
-                h = solve_hidden_size(config, budget)
+                h = solve_hidden_size(presets.model_config(task, topo), budget)
                 ref = presets.REFERENCE_SIZES.get((task, topo, budget))
-                cells.append((topo, h, count_params(config, h), ref))
-            rows.append((task, budget, cells))
-
-    if csv_format:
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["task", "budget", "topology", "hidden", "param_count",
-                         "delta", "reference", "match"])
-        for task, budget, cells in rows:
-            for topo, h, count, ref in cells:
-                writer.writerow([task, budget, topo, h, count, count - budget,
-                                 "" if ref is None else ref,
-                                 "" if ref is None else ("yes" if h == ref else "no")])
-        return buf.getvalue()
-
-    def fmt(h, ref):
-        if ref is None or h == ref:
-            return str(h)
-        return f"{h}(!{ref})"
-
-    width = 10
-    header = f"{'task':<8}{'budget':>9}  " + "".join(f"{t:>{width}}" for t in topologies)
-    lines = [header]
-    for task, budget, cells in rows:
-        line = f"{task:<8}{budget:>9}  " + "".join(
-            f"{fmt(h, ref):>{width}}" for _, h, _, ref in cells)
-        lines.append(line)
+                cells.append(str(h) if ref in (None, h) else f"{h}(!{ref})")
+            lines.append(f"{task:<8}{budget:>9}  " + "".join(f"{c:>{width}}" for c in cells))
     return "\n".join(lines)

@@ -316,7 +316,6 @@ class GradCheckReport:
 
     errors: dict[str, float]
     tolerance: float
-    step: float
 
     @property
     def max_error(self) -> float:
@@ -365,4 +364,4 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), 1e-8)
         rel = np.abs(ana - num) / denom
         errors[name] = float(rel.max()) if rel.size else 0.0
-    return GradCheckReport(errors=errors, tolerance=tolerance, step=step)
+    return GradCheckReport(errors=errors, tolerance=tolerance)

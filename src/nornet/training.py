@@ -106,7 +106,6 @@ class TrainResult:
     best_epoch: int
     best_metric: float
     pad_length: int
-    best_params: dict[str, np.ndarray]
 
 
 def _resolve_pad_length(config: TrainConfig, examples) -> int:
@@ -194,7 +193,7 @@ def train(model, corpus, config: TrainConfig) -> TrainResult:
     for name, p in params.items():
         p.data[...] = best_snap[name]
     return TrainResult(rows=rows, best_epoch=best_epoch, best_metric=best_metric,
-                       pad_length=length, best_params=best_snap)
+                       pad_length=length)
 
 
 def write_metric_log(path, rows) -> None:

@@ -115,13 +115,6 @@ def test_solver_rejects_budget_below_minimum():
         solve_hidden_size(cfg, 5)
 
 
-def test_solver_tolerance_gate():
-    cfg = _uni("simple", d=4, classes=2, hidden=None)
-    assert solve_hidden_size(cfg, 10, tolerance=0) == 1
-    with pytest.raises(BudgetError):
-        solve_hidden_size(cfg, 14, tolerance=1)
-
-
 def test_shared_layer_is_wired_tier1_all():
     assert LayerSpec("shared").wiring == "tier1_all"
     assert LayerSpec("parallel2") == LayerSpec("parallel2", 3, "tier1_own")
@@ -172,8 +165,6 @@ def test_sizing_table_flags_drift_instead_of_hiding_it():
     table = emit_sizing_table()
     assert "318(!320)" in table
     assert "496(!497)" in table
-    csv = emit_sizing_table(csv_format=True)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "task,budget,topology,hidden,param_count,delta,reference,match"
-    assert len(lines) == 1 + 63
-    assert sum(1 for l in lines[1:] if l.endswith(",no")) == len(_KNOWN_DRIFT)
+    lines = table.splitlines()
+    assert len(lines) == 1 + 9 and all(len(l.split()) == 2 + 7 for l in lines[1:])
+    assert table.count("(!") == len(_KNOWN_DRIFT)
