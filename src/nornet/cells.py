@@ -3,6 +3,8 @@
 Every cell is a pure step function over (input, state, params).  Parameters
 live in a CellParams record holding one input matrix, one recurrent matrix
 and one bias vector per gate; the simple cells have a single unnamed gate.
+A relu or sigmoid cell also runs over a whole (d, T) sequence as one tape op,
+`scan`; its step is the scan at T = 1.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, elementwise_mul, matmul, relu, sigmoid, sub, tanh
+from .tensor import (ShapeError, Tensor, _bmm, _emit, _mm2, _sigmoid, add, col,
+                     elementwise_mul, matmul, sigmoid, stack, sub, tanh)
 
 __all__ = [
     "GATE_NAMES", "CellParams", "CellState", "new_cell_params", "zero_state",
-    "cell_step", "simple_rnn_step", "gate_rnn_step", "gru_step", "lstm_step",
+    "cell_step", "scan", "simple_rnn_step", "gate_rnn_step", "gru_step", "lstm_step",
     "identity_recurrence_init", "glorot_init",
 ]
 
@@ -122,14 +125,45 @@ def _affine(p: CellParams, gate: str, x: Tensor, h: Tensor) -> Tensor:
     return add(add(matmul(p.w[gate], x), matmul(p.u[gate], h)), p.b[gate])
 
 
+def scan(x: Tensor, state: CellState, p: CellParams) -> tuple[Tensor, CellState]:
+    """A relu or sigmoid cell over a (d, T) input from state, as one tape op:
+    the (hidden, T) outputs and the final state.  Column t is
+    act((W x_t + U h_{t-1}) + b), one ordered product each as in a step, so
+    its bits are the step's.  Backward is backpropagation through time in
+    numpy: W and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ), x gets Wᵀ G."""
+    W, U, b, X = p.w["h"].data, p.u["h"].data, p.b["h"].data[:, None], x.data
+    if X.ndim != 2 or X.shape[0] != W.shape[1] or state.h.shape != b.shape[:1]:
+        raise ShapeError(f"scan of a cell {W.shape} takes a (d, T) input and an h state, "
+                         f"got {X.shape} and {state.h.shape}")
+    relu = p.kind == "simple"
+    H = np.empty((b.shape[0], X.shape[1] + 1))   # column 0 is the initial h
+    H[:, 0] = state.h.data
+    for t in range(X.shape[1]):
+        pre = (_mm2(W, X[:, t:t + 1]) + _mm2(U, H[:, t:t + 1])) + b
+        H[:, t + 1:t + 2] = np.where(pre > 0, pre, 0.0) if relu else _sigmoid(pre)
+    out = H[:, 1:]
+
+    def bwd(g):
+        G = np.empty_like(out)
+        carry = 0.0
+        for t in range(out.shape[1] - 1, -1, -1):
+            gh, o = g[:, t:t + 1] + carry, out[:, t:t + 1]
+            G[:, t:t + 1] = gh * (o > 0) if relu else gh * o * (1.0 - o)
+            carry = _bmm(U.T, G[:, t:t + 1])
+        return (G, X.T), (G, H[:, :-1].T), G.sum(axis=1), _bmm(W.T, G), carry[:, 0]
+
+    seq = _emit("scan", out, (p.w["h"], p.u["h"], p.b["h"], x, state.h), bwd)
+    return seq, CellState(h=col(seq, out.shape[1] - 1))
+
+
 def simple_rnn_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
-    """h' = relu(W x + U h + b)."""
-    return CellState(h=relu(_affine(p, "h", x, state.h)))
+    """h' = relu((W x + U h) + b), the scan at T = 1."""
+    return scan(stack([x]), state, p)[1]
 
 
 def gate_rnn_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
-    """h' = sigmoid(W x + U h + b)."""
-    return CellState(h=sigmoid(_affine(p, "h", x, state.h)))
+    """h' = sigmoid((W x + U h) + b), the scan at T = 1."""
+    return scan(stack([x]), state, p)[1]
 
 
 def gru_step(x: Tensor, state: CellState, p: CellParams) -> CellState:

@@ -25,6 +25,10 @@ subnetwork with no combiner.
 Each recurrent neuron keeps its own cells.CellState: the output it produced
 on the previous step (and an lstm's cell memory).  The combiner is
 o = relu(W [s_1; ...; s_m] + b).
+
+No cell reads another's state and nothing feeds back, so a layer of relu and
+sigmoid cells runs time-major: one (d, T) input, one cells.scan op per cell
+and one combiner op over all T columns.  gru and lstm layers step per token.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import CellParams, CellState, cell_step, new_cell_params, zero_state
-from .tensor import Tensor, add, block_matmul, concat, elementwise_mul, relu
+from .cells import CellParams, CellState, cell_step, new_cell_params, scan, zero_state
+from .tensor import ShapeError, Tensor, _emit, _keyed_sum, _mm2, col, concat, elementwise_mul, stack
 from .tensor import matmul  # noqa: F401  perfbench's tracer test reads nor.matmul
 
 __all__ = [
@@ -153,9 +157,27 @@ class LayerSpec:
 
 
 def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
-    """Output component: relu(W [s_1; ...; s_m] + b), bit-invariant under
-    reordering the subnetworks with W's column blocks (see block_matmul)."""
-    return relu(add(block_matmul(w, parts), b))
+    """Output component relu(W [s_1; ...; s_m] + b) as one tape op over vector
+    parts or, column by column, parts with one column per step.  A column's
+    block products are added in an order keyed on their contents (see
+    block_matmul), so moving a subnetwork with its block of W moves no bit."""
+    W, B, xs = w.data, b.data[:, None], [p.data for p in parts]
+    ps = [x.reshape(x.shape[0], -1) for x in xs]
+    edges = np.cumsum([0] + [p.shape[0] for p in ps])
+    if not ps or W.shape != (B.shape[0], edges[-1]) or any(p.shape[1:] != ps[0].shape[1:] for p in ps):
+        raise ShapeError(f"combiner: weight {W.shape}, bias {b.shape}, parts {[p.shape for p in ps]}")
+    blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
+    prods = [_mm2(blk, p) for blk, p in zip(blocks, ps)]
+    pre = np.stack([_keyed_sum(cols) for cols in zip(*(q.T for q in prods))], axis=1) + B
+    mask = pre > 0
+
+    def bwd(g):
+        G = g.reshape(pre.shape) * mask
+        return ((G, np.concatenate(ps).T), G.sum(axis=1),
+                *((blk.T @ G).reshape(x.shape) for blk, x in zip(blocks, xs)))
+
+    out = np.where(mask, pre, 0.0).reshape((-1,) + parts[0].shape[1:])
+    return _emit("combine", out, (w, b, *parts), bwd)
 
 
 class NorLayer:
@@ -180,16 +202,21 @@ class NorLayer:
         return [[zero_state(cell.kind, cell.hidden) for cell in tiers] for tiers in self.cells]
 
     def step(self, x: Tensor, state: list[list[CellState]]) -> tuple[Tensor, list]:
-        if x.data.shape != (self.input_dim,):
-            raise ValueError(f"layer expects input shape ({self.input_dim},), got {x.data.shape}")
+        """One token: unroll over [x] from state."""
+        outs, state = unroll(self, [x], state)
+        return outs[0], state
+
+    def run(self, x: Tensor, state: list[list[CellState]]) -> tuple[Tensor, list]:
+        """A relu and sigmoid layer over a (d, T) input: (hidden, T) outputs, final state."""
         # tier 1 everywhere first, so shared wiring can see every output;
         # every subnetwork reads the same input tensor
-        new_state = [[cell_step(x, state[i][0], tiers[0])] for i, tiers in enumerate(self.cells)]
-        feeds = self.topology.tier2_feeds(x, [mem[0].h for mem in new_state], concat)
+        runs = [[scan(x, state[i][0], tiers[0])] for i, tiers in enumerate(self.cells)]
+        feeds = self.topology.tier2_feeds(x, [r[0][0] for r in runs], concat)
         for i, tiers in enumerate(self.cells):
             if len(tiers) == 2:
-                new_state[i].append(cell_step(feeds[i], state[i][1], tiers[1]))
-        outs = [mem[-1].h for mem in new_state]
+                runs[i].append(scan(feeds[i], state[i][1], tiers[1]))
+        new_state = [[st for _, st in r] for r in runs]
+        outs = [r[-1][0] for r in runs]
         if self.w_mlp is None:
             return outs[0], new_state
         merged = self.topology.merge(outs, elementwise_mul)
@@ -208,17 +235,21 @@ class NorLayer:
         return out
 
 
-def unroll(layer: NorLayer, inputs: list[Tensor]):
-    """Run a layer over a sequence from its initial state; returns
-    (outputs, final state)."""
+def unroll(layer: NorLayer, inputs: list[Tensor], state: list[list[CellState]] | None = None):
+    """(outputs, final state) of a layer over a sequence from state, by default
+    its initial state; gru and lstm step per token, the rest run time-major."""
     if not inputs:
         raise ValueError("cannot unroll over an empty sequence")
-    state = layer.initial_state()
-    outputs = []
-    for x in inputs:
-        out, state = layer.step(x, state)
-        outputs.append(out)
-    return outputs, state
+    state = layer.initial_state() if state is None else state
+    cell = layer.cells[0][0]
+    if cell.kind in ("gru", "lstm"):
+        outputs = []
+        for x in inputs:
+            state = [[cell_step(x, state[0][0], cell)]]
+            outputs.append(state[0][0].h)
+        return outputs, state
+    out, state = layer.run(stack(inputs), state)
+    return [col(out, t) for t in range(len(inputs))], state
 
 
 def bidirectional_wrap(forward_layer, backward_layer, inputs: list[Tensor]) -> list[Tensor]:

@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "ShapeError", "grad_check", "GradCheckReport",
     "add", "sub", "scale", "elementwise_mul", "matmul", "block_matmul",
-    "relu", "sigmoid", "tanh", "concat", "reduce_sum",
+    "relu", "sigmoid", "tanh", "concat", "stack", "col", "reduce_sum",
 ]
 
 
@@ -167,19 +167,20 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 
 # --- reductions ------------------------------------------------------------
 #
-# Activations are vectors, and a product is a matrix times a vector.  Forward
-# products (matmul, and each block of block_matmul) add their terms strictly
-# left to right instead of using BLAS.  Sequential accumulation is what makes
-# two of the library's guarantees hold at the bit level: summands that are
-# exactly zero never perturb the result, so a weight matrix padded with zero
-# blocks computes bit-identical outputs to its unpadded form regardless of
-# how the platform BLAS would regroup the terms.  The order rests on numpy
-# reducing a leading axis one row at a time, as checked on numpy 2.4.6.  No
-# bitwise claim rests on gradients, so backward products use BLAS (numpy @;
-# an inner dimension of 1 stays a * b), and the gradient toward the matrix (a
-# weight) goes to the tape as a factor pair, multiplied out in bulk by
-# Tape.backward.  _lse (the heads' log-partitions) and reduce_sum are plain
-# numpy sums.
+# Activations are vectors, or matrices with one column per step.  Forward
+# products (matmul, block_matmul, a cell's scan, the combiner) add each
+# entry's terms strictly left to right instead of using BLAS, so no column's
+# bits depend on the other columns of its product.  Sequential accumulation is
+# what makes two of the library's guarantees hold at the bit level: summands
+# that are exactly zero never perturb the result, so a weight matrix padded
+# with zero blocks computes bit-identical outputs to its unpadded form
+# regardless of how the platform BLAS would regroup the terms.  The order
+# rests on numpy reducing a leading axis one row at a time, as checked on
+# numpy 2.4.6.  No bitwise claim rests on gradients, so backward products use
+# BLAS (numpy @; an inner dimension of 1 stays a * b), and the gradient toward
+# the matrix (a weight) goes to the tape as a factor pair, multiplied out in
+# bulk by Tape.backward.  _lse (the heads' log-partitions) and reduce_sum are
+# plain numpy sums.
 
 
 def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,6 +222,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", _mm2(A, B2)[:, 0], (a, b), bwd)
 
 
+def _keyed_sum(vectors) -> np.ndarray:
+    """The vectors added in an order keyed on their contents."""
+    vectors = sorted(vectors, key=np.ndarray.tobytes)
+    return sum(vectors[1:], vectors[0])
+
+
 def block_matmul(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
     """W [p_1; ...; p_m] for vectors p_j: one ordered product per column block
     of W, the products added in an order keyed on their contents, not their
@@ -231,9 +238,9 @@ def block_matmul(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
     if not xs or W.ndim != 2 or any(x.ndim != 1 for x in xs) or W.shape[1] != edges[-1]:
         raise ShapeError(f"block_matmul: weight {W.shape}, parts {[x.shape for x in xs]}")
     blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
-    prods = sorted([_mm2(b, x[:, None])[:, 0] for b, x in zip(blocks, xs)], key=np.ndarray.tobytes)
-    return _emit("block_matmul", sum(prods[1:], prods[0]), (w, *parts), lambda g: (
-        (g[:, None], np.concatenate(xs)[None, :]), *(g @ b for b in blocks)))
+    prods = [_mm2(b, x[:, None])[:, 0] for b, x in zip(blocks, xs)]
+    return _emit("block_matmul", _keyed_sum(prods), (w, *parts),
+                 lambda g: ((g[:, None], np.concatenate(xs)[None, :]), *(g @ b for b in blocks)))
 
 
 def _same_shape(a, b, op):
@@ -268,13 +275,18 @@ def relu(a: Tensor) -> Tensor:
     return _emit("relu", np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
     return _emit("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -284,12 +296,33 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Vectors joined end to end; the gradient splits back at the seams."""
+    """Vectors joined end to end, or matrices with as many columns stacked
+    row block on row block; the gradient splits back at the seams."""
     datas = [p.data for p in parts]
-    if not datas or any(d.ndim != 1 for d in datas):
-        raise ShapeError(f"concat expects one or more vectors, got {[d.shape for d in datas]}")
-    edges = np.cumsum([d.size for d in datas])[:-1]
+    if not datas or any(d.ndim not in (1, 2) or d.shape[1:] != datas[0].shape[1:] for d in datas):
+        raise ShapeError(f"concat expects vectors or matrices of one width, got {[d.shape for d in datas]}")
+    edges = np.cumsum([d.shape[0] for d in datas])[:-1]
     return _emit("concat", np.concatenate(datas), tuple(parts), lambda g: tuple(np.split(g, edges)))
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Vectors of one length as the columns of a matrix, one per step."""
+    datas = [p.data for p in parts]
+    if not datas or any(d.ndim != 1 or d.shape != datas[0].shape for d in datas):
+        raise ShapeError(f"stack expects vectors of one length, got {[d.shape for d in datas]}")
+    return _emit("stack", np.stack(datas, axis=1), tuple(parts), lambda g: tuple(g.T))
+
+
+def col(a: Tensor, t: int) -> Tensor:
+    """Column t of a matrix, as a vector."""
+    shape = a.data.shape   # not a: a backward that holds a tensor holds its tape
+
+    def bwd(g):
+        out = np.zeros(shape)
+        out[:, t] = g
+        return (out,)
+
+    return _emit("col", a.data[:, t], (a,), bwd)
 
 
 def _lse(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -154,17 +154,19 @@ def train(model, corpus, config: TrainConfig) -> TrainResult:
         seen = 0
         for at in range(0, len(order), config.batch_size):
             batch = order[at:at + config.batch_size]
-            with Tape() as tape:
+            # the checks below name a non-finite value; numpy need not warn
+            with Tape() as tape, np.errstate(all="ignore"):
                 total = None
                 for idx in batch:
                     tokens, target = train_set[idx]
                     one = model.loss(tokens, target, rng=rng,
                                      dropout=config.dropout, training=True)
+                    if not np.isfinite(one.data):
+                        raise NumericError(f"non-finite loss at epoch {epoch} on training "
+                                           f"sentence {idx} ({len(tokens)} tokens)")
                     total = one if total is None else add(total, one)
                 batch_loss = scale(total, 1.0 / len(batch))
                 value = float(batch_loss.data)
-                if not np.isfinite(value):
-                    raise NumericError(f"non-finite loss at epoch {epoch}")
                 tape.backward(batch_loss)
                 grads = {name: tape.grad(p) for name, p in params.items()}
             bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)

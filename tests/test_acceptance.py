@@ -28,7 +28,7 @@ from nornet.presets import REFERENCE_SIZES, TOPOLOGY_ALIASES, model_config
 from nornet.tensor import Tensor, concat, grad_check, reduce_sum
 from nornet.training import TrainConfig, train
 
-FAMILIES = ("irnn", "gru", "lstm", "ma", "ms", "ss", "gate")
+FAMILIES = ("irnn", "gru", "lstm", "ma", "ma2", "ms", "ss", "gate")
 
 
 def _say(capsys, line: str) -> None:
@@ -325,7 +325,7 @@ def test_06_every_family_overfits_small_synthetic_task(capsys):
                             f"({count_params(config)} params)")
     dt = time.perf_counter() - t0
     ok = not failures and dt < 300.0
-    _say(capsys, f"[accept] 6 overfit sanity, 7 families ~20k params, "
+    _say(capsys, f"[accept] 6 overfit sanity, {len(FAMILIES)} families ~20k params, "
                  f"64 samples, <=200 epochs: {'PASS' if ok else 'FAIL'} "
                  f"({' '.join(outcomes)}, {dt:.1f} s)")
     assert dt < 300.0, f"overfit suite took {dt:.1f} s"

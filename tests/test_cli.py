@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import re
 import shlex
 from pathlib import Path
 
@@ -294,6 +295,7 @@ def test_eval_scores_entities_past_the_training_pad_length(tmp_path, capsys):
     assert out.startswith(f"entity_f1 {model.evaluate(full):.6f}")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_codes(tmp_path, capsys):
     config = tmp_path / "c.ini"
     config.write_text("[model]\ntask = trec\nbogus = 1\n", encoding="utf-8")
@@ -302,22 +304,30 @@ def test_exit_codes(tmp_path, capsys):
     _write_config(config, tmp_path / "missing.txt")
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
 
-    # an embeddings file carrying inf stops training: through a gated cell
-    # the nan rides the state to a non-finite loss; through a relu cell the
-    # loss stays finite but 0 * inf reaches the input weights' gradient,
-    # which the message names
+    # an embeddings file carrying inf stops training, and no numpy warning
+    # escapes: through a gated cell the nan rides the state to a non-finite
+    # loss, which the message places in its training sentence; through a
+    # relu cell the loss stays finite but 0 * inf reaches the input weights'
+    # gradient, which the message names
     corpus = tmp_path / "train.txt"
     _write_corpus(corpus)
     vec = tmp_path / "vec.txt"
     vec.write_text("red " + " ".join(["inf"] * 8) + "\n", encoding="utf-8")
     capsys.readouterr()
-    for topology, says in [("gru", "non-finite loss"),
+    errs = {}
+    for topology, says in [("gru", "non-finite loss at epoch 1 on training sentence "),
                            ("ma", "non-finite gradient for layer0.sub0.tier0.w_h"),
                            ("irnn", "non-finite gradient for layer0.w_h")]:
         _write_config(config, corpus, model={"topology": topology},
                       data={"embeddings": str(vec)})
         assert main(["train", "--config", str(config), "--out", str(tmp_path / topology)]) == 4
-        assert says in capsys.readouterr().err
+        errs[topology] = capsys.readouterr().err
+        assert says in errs[topology]
+    # seed 1 holds out lines 1, 11, ... as the dev split
+    train_lines = [line for i, line in enumerate(corpus.read_text().splitlines()) if i % 10 != 1]
+    index, count = re.search(r"sentence (\d+) \((\d+) tokens\)", errs["gru"]).groups()
+    tokens = train_lines[int(index)].split()[1:]
+    assert "red" in tokens and len(tokens) == int(count)
 
 
 def test_budget_subcommand(capsys):

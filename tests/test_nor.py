@@ -1,3 +1,7 @@
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,8 @@ from nornet import budget
 from nornet.cells import GATE_NAMES, cell_step, new_cell_params, zero_state
 from nornet.nor import (LAYER_KINDS, LayerSpec, NorLayer, bidirectional_wrap,
                         component_o_combine, unroll)
-from nornet.tensor import Tape, Tensor, concat, grad_check, reduce_sum
+from nornet.tensor import (Tape, Tensor, add, block_matmul, concat, elementwise_mul, grad_check,
+                           matmul, reduce_sum, relu, sigmoid)
 
 
 def _copy_params(dst_layer, src_layer):
@@ -42,7 +47,7 @@ def test_combiner_node_count_does_not_grow_with_subnetworks():
         with Tape() as tape:
             component_o_combine(parts, Tensor(rng.normal(size=(3, 2 * m))), Tensor(np.zeros(3)))
         counts.append(sum(node.kind != "leaf" for node in tape.nodes))
-    assert counts == [3, 3, 3]
+    assert counts == [1, 1, 1]
 
 
 def test_ma_forward_matches_numpy_oracle():
@@ -190,12 +195,113 @@ def test_wiring_controls_tier2_input_width():
     assert shared.cells[0][1].input_dim == 6
 
 
-def test_shared_layer_joins_tier1_outputs_once_per_step():
-    rng = np.random.default_rng(44)
-    layer = NorLayer(LayerSpec("shared", 3), 4, 2, rng)
+# every layer kind built from relu and sigmoid cells, ma2 in both wirings
+_TIME_MAJOR = [LayerSpec("simple"), LayerSpec("parallel", 2), LayerSpec("parallel2", 2),
+               LayerSpec("parallel2", 2, "layer_input"), LayerSpec("mixed", (1, 1)),
+               LayerSpec("shared", 2), LayerSpec("gated", 2)]
+_IDS = ["irnn", "ma", "ma2", "ma2-layer_input", "ms", "ss", "gate"]
+
+
+def _op_kinds(layer, steps):
     with Tape() as tape:
-        unroll(layer, [Tensor(x) for x in rng.normal(size=(5, 4))])
-    assert sum(node.kind == "concat" for node in tape.nodes) == 5
+        unroll(layer, [Tensor(x) for x in np.random.default_rng(44).normal(size=(steps, 4))])
+    return Counter(node.kind for node in tape.nodes if node.kind != "leaf")
+
+
+def test_shared_layer_joins_tier1_outputs_once_per_sentence():
+    layer = NorLayer(LayerSpec("shared", 3), 4, 2, np.random.default_rng(44))
+    assert _op_kinds(layer, 5)["concat"] == 1
+
+
+@pytest.mark.parametrize("spec", _TIME_MAJOR, ids=_IDS)
+def test_layer_nodes_grow_only_by_column_ops(spec):
+    # the stack, the scans, the joins and the combiner are one op each per
+    # sentence; only the column op that hands a step its output is per token
+    layer = NorLayer(spec, 4, 3, np.random.default_rng(44))
+    short, long = _op_kinds(layer, 5), _op_kinds(layer, 10)
+    assert long - short == Counter(col=5) and short["stack"] == 1
+
+
+@pytest.mark.parametrize("spec", _TIME_MAJOR + [LayerSpec("gru"), LayerSpec("lstm")],
+                         ids=_IDS + ["gru", "lstm"])
+def test_finished_tape_is_freed_without_the_cycle_collector(spec):
+    # a backward closure that held a tensor would hold its tape in a cycle:
+    # every tape of a training run would then wait for a collector pass
+    layer = NorLayer(spec, 4, 3, np.random.default_rng(54))
+    xs = [Tensor(v) for v in np.random.default_rng(55).normal(size=(5, 4))]
+    gc.disable()
+    try:
+        with Tape() as tape:
+            tape.backward(reduce_sum(concat(unroll(layer, xs)[0])))
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _reference_unroll(layer, xs):
+    """The layer as a step composition of tensor ops: per step and cell two
+    products, two adds and an activation, and a block-product combiner."""
+    def cell(p, x, h):
+        act = relu if p.kind == "simple" else sigmoid
+        return act(add(add(matmul(p.w["h"], x), matmul(p.u["h"], h)), p.b["h"]))
+
+    spec, outs = layer.topology, []
+    hs = [[zero_state(c.kind, c.hidden).h for c in tiers] for tiers in layer.cells]
+    for x in xs:
+        tier1 = [cell(tiers[0], x, hs[i][0]) for i, tiers in enumerate(layer.cells)]
+        feeds = spec.tier2_feeds(x, tier1, concat)
+        hs = [[h] + ([cell(tiers[1], feeds[i], hs[i][1])] if len(tiers) == 2 else [])
+              for i, (h, tiers) in enumerate(zip(tier1, layer.cells))]
+        last = [h[-1] for h in hs]
+        outs.append(last[0] if layer.w_mlp is None else relu(add(
+            block_matmul(layer.w_mlp, spec.merge(last, elementwise_mul)), layer.b_mlp)))
+    return outs
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+@pytest.mark.parametrize("spec", _TIME_MAJOR, ids=_IDS)
+def test_time_major_layer_matches_step_composition(spec, steps):
+    rng = np.random.default_rng(52)
+    layer = NorLayer(spec, 4, 3, rng)
+    params = layer.named_parameters()
+    for p in params.values():
+        p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
+    xs = [Tensor(v) for v in rng.normal(size=(steps, 4))]
+    weights = Tensor(rng.normal(size=3 * steps))
+
+    def run(outputs):
+        with Tape() as tape:
+            outs = outputs()
+            tape.backward(reduce_sum(elementwise_mul(concat(outs), weights)))
+        return [o.data.tobytes() for o in outs], {n: tape.grad(p) for n, p in params.items()}
+
+    bits, grads = run(lambda: unroll(layer, xs)[0])
+    want_bits, want = run(lambda: _reference_unroll(layer, xs))
+    assert bits == want_bits
+    for name, g in grads.items():
+        scale = np.abs(want[name]).max()
+        assert np.abs(g - want[name]).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("spec", [LayerSpec("shared", 2), LayerSpec("gated", 2)],
+                         ids=["ss", "gate"])
+def test_unroll_carries_state_across_calls(spec):
+    rng = np.random.default_rng(53)
+    layer = NorLayer(spec, 4, 3, rng)
+    params = layer.named_parameters()
+    for p in params.values():
+        p.data[...] = rng.normal(0.0, 0.5, size=p.data.shape)
+    xs = [Tensor(v) for v in rng.normal(size=(7, 4))]
+
+    def in_two():
+        head, state = unroll(layer, xs[:3])
+        return head + unroll(layer, xs[3:], state)[0]
+
+    assert [o.data.tobytes() for o in in_two()] == [o.data.tobytes() for o in unroll(layer, xs)[0]]
+    report = grad_check(lambda: reduce_sum(concat(in_two())), params)
+    assert report.passed, report.lines()
 
 
 def test_layer_rejects_wrong_input_shape():
