@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (ShapeError, Tensor, _bmm, _emit, _mm2, _sigmoid, add, col,
+from .tensor import (ShapeError, Tensor, _emit, _gemvs, _sigmoid, add, col,
                      elementwise_mul, matmul, sigmoid, stack, sub, tanh)
 
 __all__ = [
@@ -125,45 +125,53 @@ def _affine(p: CellParams, gate: str, x: Tensor, h: Tensor) -> Tensor:
     return add(add(matmul(p.w[gate], x), matmul(p.u[gate], h)), p.b[gate])
 
 
-def scan(x: Tensor, state: CellState, p: CellParams) -> tuple[Tensor, CellState]:
-    """A relu or sigmoid cell over a (d, T) input from state, as one tape op:
-    the (hidden, T) outputs and the final state.  Column t is
-    act((W x_t + U h_{t-1}) + b), one ordered product each as in a step, so
-    its bits are the step's.  Backward is backpropagation through time in
-    numpy: W and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ), x gets Wᵀ G."""
-    W, U, b, X = p.w["h"].data, p.u["h"].data, p.b["h"].data[:, None], x.data
-    if X.ndim != 2 or X.shape[0] != W.shape[1] or state.h.shape != b.shape[:1]:
-        raise ShapeError(f"scan of a cell {W.shape} takes a (d, T) input and an h state, "
-                         f"got {X.shape} and {state.h.shape}")
-    relu = p.kind == "simple"
-    H = np.empty((b.shape[0], X.shape[1] + 1))   # column 0 is the initial h
-    H[:, 0] = state.h.data
-    for t in range(X.shape[1]):
-        pre = (_mm2(W, X[:, t:t + 1]) + _mm2(U, H[:, t:t + 1])) + b
-        H[:, t + 1:t + 2] = np.where(pre > 0, pre, 0.0) if relu else _sigmoid(pre)
-    out = H[:, 1:]
+def scan(parts: list[Tensor], state: CellState | None, p: CellParams) -> tuple[Tensor, CellState]:
+    """A relu or sigmoid cell over (d_j, T) input parts from state (None: zeros
+    the tape does not record), as one tape op: the (hidden, T) outputs and the
+    final state.  Column t is act((W x_t + U h_{t-1}) + b) in BLAS gemvs: W x_t
+    one per part on its column block of W, added in part order, for all t at
+    once (tensor._gemvs), and U h_{t-1} one per step.  A step is the scan at
+    T = 1, so it has the scan's bits.  Backward is backpropagation through time
+    in numpy: W and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ), each part its
+    block's Wᵀ G."""
+    W, U, b, Xs = p.w["h"].data, p.u["h"].data, p.b["h"].data, [x.data for x in parts]
+    relu, h0 = p.kind == "simple", state is not None
+    edges = np.cumsum([0] + [X.shape[0] for X in Xs])
+    if (any(X.ndim != 2 or X.shape[1] != Xs[0].shape[1] for X in Xs) or edges[-1] != W.shape[1]
+            or h0 and state.h.shape != b.shape):
+        raise ShapeError(f"scan of a cell {W.shape} takes (d, T) input parts and an h state, "
+                         f"got {[X.shape for X in Xs]} and {state and state.h.shape}")
+    blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
+    prods = [_gemvs(blk, X) for blk, X in zip(blocks, Xs)]
+    H = np.empty((Xs[0].shape[1] + 1, b.shape[0]))   # row 0 is the initial h
+    H[0] = state.h.data if h0 else 0.0
+    for t, wx in enumerate(sum(prods[1:], prods[0])):
+        pre = (wx + U @ H[t]) + b
+        H[t + 1] = np.where(pre > 0, pre, 0.0) if relu else _sigmoid(pre)
+    out = H[1:]
 
     def bwd(g):
-        G = np.empty_like(out)
-        carry = 0.0
-        for t in range(out.shape[1] - 1, -1, -1):
-            gh, o = g[:, t:t + 1] + carry, out[:, t:t + 1]
-            G[:, t:t + 1] = gh * (o > 0) if relu else gh * o * (1.0 - o)
-            carry = _bmm(U.T, G[:, t:t + 1])
-        return (G, X.T), (G, H[:, :-1].T), G.sum(axis=1), _bmm(W.T, G), carry[:, 0]
+        G, carry = np.empty_like(out), 0.0
+        for t in range(len(out) - 1, -1, -1):
+            gh, o = g[:, t] + carry, out[t]
+            G[t] = gh * (o > 0) if relu else gh * o * (1.0 - o)
+            carry = U.T @ G[t] if t or h0 else None
+        grads = ((G.T, np.concatenate(Xs).T), (G.T, H[:-1]), G.sum(axis=0),
+                 *(blk.T @ G.T for blk in blocks))
+        return grads + (carry,) if h0 else grads
 
-    seq = _emit("scan", out, (p.w["h"], p.u["h"], p.b["h"], x, state.h), bwd)
-    return seq, CellState(h=col(seq, out.shape[1] - 1))
+    seq = _emit("scan", out.T, (p.w["h"], p.u["h"], p.b["h"], *parts) + ((state.h,) if h0 else ()), bwd)
+    return seq, CellState(h=col(seq, len(out) - 1))
 
 
 def simple_rnn_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
     """h' = relu((W x + U h) + b), the scan at T = 1."""
-    return scan(stack([x]), state, p)[1]
+    return scan([stack([x])], state, p)[1]
 
 
 def gate_rnn_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
     """h' = sigmoid((W x + U h) + b), the scan at T = 1."""
-    return scan(stack([x]), state, p)[1]
+    return scan([stack([x])], state, p)[1]
 
 
 def gru_step(x: Tensor, state: CellState, p: CellParams) -> CellState:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import CellParams, CellState, cell_step, new_cell_params, scan, zero_state
-from .tensor import ShapeError, Tensor, _emit, _keyed_sum, _mm2, col, concat, elementwise_mul, stack
+from .tensor import ShapeError, Tensor, _emit, _gemvs, _keyed_sum, col, concat, elementwise_mul, stack
 from .tensor import matmul  # noqa: F401  perfbench's tracer test reads nor.matmul
 
 __all__ = [
@@ -120,15 +120,15 @@ class LayerSpec:
             return [("simple",)] * self.n[0] + [("simple", "simple")] * self.n[1]
         return [("simple",) * (1 if self.kind == "parallel" else 2)] * self.n
 
-    def tier2_feeds(self, layer_input, tier1: list, join) -> list:
-        """What tier 2 of each subnetwork reads: its own tier-1 output, the
-        layer input, or every tier-1 output joined once for all.  Takes
-        widths (join=sum) or tensors (join=concat)."""
+    def tier2_feeds(self, layer_input, tier1: list) -> list[list]:
+        """The parts tier 2 of each subnetwork reads: its own tier-1 output,
+        the layer input, or every tier-1 output in position order.  Takes
+        widths or tensors."""
         if self.wiring == "layer_input":
-            return [layer_input] * len(tier1)
+            return [[layer_input]] * len(tier1)
         if self.wiring == "tier1_all":
-            return [join(tier1)] * len(tier1)
-        return tier1
+            return [tier1] * len(tier1)
+        return [[t] for t in tier1]
 
     def merge(self, outs: list, product) -> list:
         """What the combiner reads: every subnetwork output, or for "gated"
@@ -148,8 +148,8 @@ class LayerSpec:
         """
         kinds = self.cell_kinds()
         widths = [hidden] * len(kinds)
-        feeds = self.tier2_feeds(input_dim, widths, sum)
-        cells = [[(kind, feeds[i] if t else input_dim, hidden) for t, kind in enumerate(tiers)]
+        feeds = self.tier2_feeds(input_dim, widths)
+        cells = [[(kind, sum(feeds[i]) if t else input_dim, hidden) for t, kind in enumerate(tiers)]
                  for i, tiers in enumerate(kinds)]
         if self.n is None:
             return cells, None
@@ -158,17 +158,19 @@ class LayerSpec:
 
 def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
     """Output component relu(W [s_1; ...; s_m] + b) as one tape op over vector
-    parts or, column by column, parts with one column per step.  A column's
+    parts or, column by column, parts with one column per step.  Each part's
+    block product is one BLAS gemv per column (tensor._gemvs), and a column's
     block products are added in an order keyed on their contents (see
-    block_matmul), so moving a subnetwork with its block of W moves no bit."""
+    block_matmul).  So moving a subnetwork with its block of W moves no bit, a
+    zero block adds an exact zero, and a column's bits are its own."""
     W, B, xs = w.data, b.data[:, None], [p.data for p in parts]
     ps = [x.reshape(x.shape[0], -1) for x in xs]
     edges = np.cumsum([0] + [p.shape[0] for p in ps])
     if not ps or W.shape != (B.shape[0], edges[-1]) or any(p.shape[1:] != ps[0].shape[1:] for p in ps):
         raise ShapeError(f"combiner: weight {W.shape}, bias {b.shape}, parts {[p.shape for p in ps]}")
     blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
-    prods = [_mm2(blk, p) for blk, p in zip(blocks, ps)]
-    pre = np.stack([_keyed_sum(cols) for cols in zip(*(q.T for q in prods))], axis=1) + B
+    prods = [_gemvs(blk, p) for blk, p in zip(blocks, ps)]
+    pre = np.stack([_keyed_sum(rows) for rows in zip(*prods)], axis=1) + B
     mask = pre > 0
 
     def bwd(g):
@@ -206,12 +208,14 @@ class NorLayer:
         outs, state = unroll(self, [x], state)
         return outs[0], state
 
-    def run(self, x: Tensor, state: list[list[CellState]]) -> tuple[Tensor, list]:
-        """A relu and sigmoid layer over a (d, T) input: (hidden, T) outputs, final state."""
+    def run(self, x: Tensor, state: list[list[CellState]] | None) -> tuple[Tensor, list]:
+        """A relu and sigmoid layer over a (d, T) input from state, by default
+        zeros the tape does not record: (hidden, T) outputs, final state."""
+        state = state or [[None] * len(tiers) for tiers in self.cells]
         # tier 1 everywhere first, so shared wiring can see every output;
         # every subnetwork reads the same input tensor
-        runs = [[scan(x, state[i][0], tiers[0])] for i, tiers in enumerate(self.cells)]
-        feeds = self.topology.tier2_feeds(x, [r[0][0] for r in runs], concat)
+        runs = [[scan([x], state[i][0], tiers[0])] for i, tiers in enumerate(self.cells)]
+        feeds = self.topology.tier2_feeds(x, [r[0][0] for r in runs])
         for i, tiers in enumerate(self.cells):
             if len(tiers) == 2:
                 runs[i].append(scan(feeds[i], state[i][1], tiers[1]))
@@ -237,12 +241,13 @@ class NorLayer:
 
 def unroll(layer: NorLayer, inputs: list[Tensor], state: list[list[CellState]] | None = None):
     """(outputs, final state) of a layer over a sequence from state, by default
-    its initial state; gru and lstm step per token, the rest run time-major."""
+    its initial state (unrecorded zeros for a scan); gru and lstm step per
+    token, the rest run time-major."""
     if not inputs:
         raise ValueError("cannot unroll over an empty sequence")
-    state = layer.initial_state() if state is None else state
     cell = layer.cells[0][0]
     if cell.kind in ("gru", "lstm"):
+        state = layer.initial_state() if state is None else state
         outputs = []
         for x in inputs:
             state = [[cell_step(x, state[0][0], cell)]]

@@ -167,20 +167,27 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 
 # --- reductions ------------------------------------------------------------
 #
-# Activations are vectors, or matrices with one column per step.  Forward
-# products (matmul, block_matmul, a cell's scan, the combiner) add each
-# entry's terms strictly left to right instead of using BLAS, so no column's
-# bits depend on the other columns of its product.  Sequential accumulation is
-# what makes two of the library's guarantees hold at the bit level: summands
-# that are exactly zero never perturb the result, so a weight matrix padded
-# with zero blocks computes bit-identical outputs to its unpadded form
-# regardless of how the platform BLAS would regroup the terms.  The order
-# rests on numpy reducing a leading axis one row at a time, as checked on
-# numpy 2.4.6.  No bitwise claim rests on gradients, so backward products use
-# BLAS (numpy @; an inner dimension of 1 stays a * b), and the gradient toward
-# the matrix (a weight) goes to the tape as a factor pair, multiplied out in
-# bulk by Tape.backward.  _lse (the heads' log-partitions) and reduce_sum are
-# plain numpy sums.
+# Activations are vectors, or matrices with one column per step.  A scan's
+# cell products and the combiner's block products run on BLAS as one
+# np.matmul over a leading column axis (_gemvs), whose slices equal the lone
+# gemvs a @ b[:, j] bit for bit; a 2-D gemm's columns would not.  So a
+# column's bits do not depend on the other columns, and a step, the scan at
+# T = 1, makes the same calls.  A zero weight block gives an exact zero
+# product, and block products are added one at a time, so zero blocks move no
+# bit.  These bits depend on the numpy and BLAS build and the thread count.
+# matmul (the heads, gru and lstm) and block_matmul add each entry's terms
+# strictly left to right (_mm2), which rests on numpy reducing a leading axis
+# one row at a time, as checked on numpy 2.4.6.  No bitwise claim rests on
+# gradients, so backward products use BLAS (numpy @; an inner dimension of 1
+# stays a * b), and the gradient toward the matrix (a weight) goes to the tape
+# as a factor pair, multiplied out in bulk by Tape.backward.  _lse (the heads'
+# log-partitions) and reduce_sum are plain numpy sums.
+
+
+def _gemvs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, k) @ (k, n) as n BLAS gemvs in one np.matmul: the (n, m) result,
+    row j equal to the lone a @ b[:, j] bit for bit."""
+    return np.matmul(a, b.T[:, :, None])[:, :, 0]
 
 
 def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -296,12 +303,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Vectors joined end to end, or matrices with as many columns stacked
-    row block on row block; the gradient splits back at the seams."""
+    """Vectors joined end to end; the gradient splits back at the seams."""
     datas = [p.data for p in parts]
-    if not datas or any(d.ndim not in (1, 2) or d.shape[1:] != datas[0].shape[1:] for d in datas):
-        raise ShapeError(f"concat expects vectors or matrices of one width, got {[d.shape for d in datas]}")
-    edges = np.cumsum([d.shape[0] for d in datas])[:-1]
+    if not datas or any(d.ndim != 1 for d in datas):
+        raise ShapeError(f"concat expects vectors, got {[d.shape for d in datas]}")
+    edges = np.cumsum([d.size for d in datas])[:-1]
     return _emit("concat", np.concatenate(datas), tuple(parts), lambda g: tuple(np.split(g, edges)))
 
 

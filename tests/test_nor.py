@@ -39,6 +39,44 @@ def test_combiner_rejects_mismatched_width():
         component_o_combine([Tensor(np.ones(3))], Tensor(np.ones((2, 4))), Tensor(np.ones(2)))
 
 
+def _combiner_case(rng, dims, h=6, steps=5):
+    w = Tensor(rng.normal(size=(h, sum(dims))))
+    return w, Tensor(rng.normal(size=h)), [Tensor(rng.normal(size=(d, steps))) for d in dims]
+
+
+def test_combiner_zero_block_adds_an_exact_zero():
+    rng = np.random.default_rng(56)
+    w, b, parts = _combiner_case(rng, (3, 2))
+    want = component_o_combine(parts, w, b).data
+    assert (want > 0).sum() > 10
+    wide = Tensor(np.concatenate([w.data[:, :3], np.zeros((6, 4)), w.data[:, 3:]], axis=1))
+    padded = [parts[0], Tensor(rng.normal(size=(4, 5))), parts[1]]
+    assert component_o_combine(padded, wide, b).data.tobytes() == want.tobytes()
+
+
+def test_combiner_is_invariant_to_block_order():
+    # moving a part together with its column block of W moves no bit
+    rng = np.random.default_rng(57)
+    dims = (3, 1, 4, 2)
+    w, b, parts = _combiner_case(rng, dims)
+    edges = np.cumsum((0,) + dims)
+    cols = [w.data[:, edges[i]:edges[i + 1]] for i in range(len(dims))]
+    want = component_o_combine(parts, w, b).data.tobytes()
+    for perm in [(3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)]:
+        moved = Tensor(np.concatenate([cols[i] for i in perm], axis=1))
+        assert component_o_combine([parts[i] for i in perm], moved, b).data.tobytes() == want
+
+
+def test_combiner_columns_are_one_column_calls():
+    # a T-column call is T calls on vector parts, bit for bit
+    rng = np.random.default_rng(58)
+    w, b, parts = _combiner_case(rng, (3, 3, 3), steps=7)
+    got = component_o_combine(parts, w, b).data
+    for t in range(7):
+        one = component_o_combine([Tensor(p.data[:, t]) for p in parts], w, b).data
+        assert got[:, t].tobytes() == one.tobytes()
+
+
 def test_combiner_node_count_does_not_grow_with_subnetworks():
     rng = np.random.default_rng(31)
     counts = []
@@ -208,9 +246,35 @@ def _op_kinds(layer, steps):
     return Counter(node.kind for node in tape.nodes if node.kind != "leaf")
 
 
-def test_shared_layer_joins_tier1_outputs_once_per_sentence():
+def test_shared_tier2_reads_every_tier1_output_as_a_part():
+    # no join op: each tier-2 scan takes the three tier-1 scans as inputs
     layer = NorLayer(LayerSpec("shared", 3), 4, 2, np.random.default_rng(44))
-    assert _op_kinds(layer, 5)["concat"] == 1
+    with Tape() as tape:
+        unroll(layer, [Tensor(x) for x in np.random.default_rng(44).normal(size=(5, 4))])
+    assert all(node.kind != "concat" for node in tape.nodes)
+    scans = [i for i, node in enumerate(tape.nodes) if node.kind == "scan"]
+    assert len(scans) == 6
+    for nid in scans[3:]:
+        assert set(scans[:3]) <= set(tape.nodes[nid].inputs)
+
+
+@pytest.mark.parametrize("spec", _TIME_MAJOR, ids=_IDS)
+def test_unroll_from_no_state_records_no_state_leaf(spec):
+    # the leaves are the parameters and the inputs; a given state adds one h
+    # leaf per cell, and the parameter gradients do not move a bit
+    layer = NorLayer(spec, 4, 3, np.random.default_rng(44))
+    params = layer.named_parameters()
+    xs = [Tensor(x) for x in np.random.default_rng(45).normal(size=(5, 4))]
+
+    def run(state):
+        with Tape() as tape:
+            tape.backward(reduce_sum(concat(unroll(layer, xs, state)[0])))
+        return (sum(node.kind == "leaf" for node in tape.nodes),
+                [tape.grad(p).tobytes() for p in params.values()])
+
+    leaves, grads = run(None)
+    assert leaves == len(params) + len(xs)
+    assert run(layer.initial_state()) == (leaves + sum(map(len, layer.cells)), grads)
 
 
 @pytest.mark.parametrize("spec", _TIME_MAJOR, ids=_IDS)
@@ -241,17 +305,18 @@ def test_finished_tape_is_freed_without_the_cycle_collector(spec):
 
 
 def _reference_unroll(layer, xs):
-    """The layer as a step composition of tensor ops: per step and cell two
-    products, two adds and an activation, and a block-product combiner."""
-    def cell(p, x, h):
+    """The layer as a step composition of ordered tensor ops: per step and
+    cell two products, two adds and an activation, and a block-product
+    combiner."""
+    def cell(p, parts, h):
         act = relu if p.kind == "simple" else sigmoid
-        return act(add(add(matmul(p.w["h"], x), matmul(p.u["h"], h)), p.b["h"]))
+        return act(add(add(matmul(p.w["h"], concat(parts)), matmul(p.u["h"], h)), p.b["h"]))
 
     spec, outs = layer.topology, []
     hs = [[zero_state(c.kind, c.hidden).h for c in tiers] for tiers in layer.cells]
     for x in xs:
-        tier1 = [cell(tiers[0], x, hs[i][0]) for i, tiers in enumerate(layer.cells)]
-        feeds = spec.tier2_feeds(x, tier1, concat)
+        tier1 = [cell(tiers[0], [x], hs[i][0]) for i, tiers in enumerate(layer.cells)]
+        feeds = spec.tier2_feeds(x, tier1)
         hs = [[h] + ([cell(tiers[1], feeds[i], hs[i][1])] if len(tiers) == 2 else [])
               for i, (h, tiers) in enumerate(zip(tier1, layer.cells))]
         last = [h[-1] for h in hs]
@@ -260,9 +325,20 @@ def _reference_unroll(layer, xs):
     return outs
 
 
+def _stepped(layer, xs):
+    state, outs = layer.initial_state(), []
+    for x in xs:
+        out, state = layer.step(x, state)
+        outs.append(out)
+    return outs
+
+
 @pytest.mark.parametrize("steps", [1, 2, 7])
 @pytest.mark.parametrize("spec", _TIME_MAJOR, ids=_IDS)
 def test_time_major_layer_matches_step_composition(spec, steps):
+    # a sequence is its steps through NorLayer.step bit for bit; the ordered
+    # tensor-op composition adds its products in another order than BLAS, so
+    # its outputs and gradients agree within 1e-12 of their largest entry
     rng = np.random.default_rng(52)
     layer = NorLayer(spec, 4, 3, rng)
     params = layer.named_parameters()
@@ -273,13 +349,14 @@ def test_time_major_layer_matches_step_composition(spec, steps):
 
     def run(outputs):
         with Tape() as tape:
-            outs = outputs()
-            tape.backward(reduce_sum(elementwise_mul(concat(outs), weights)))
-        return [o.data.tobytes() for o in outs], {n: tape.grad(p) for n, p in params.items()}
+            outs = concat(outputs())
+            tape.backward(reduce_sum(elementwise_mul(outs, weights)))
+        return outs.data, {n: tape.grad(p) for n, p in params.items()}
 
-    bits, grads = run(lambda: unroll(layer, xs)[0])
-    want_bits, want = run(lambda: _reference_unroll(layer, xs))
-    assert bits == want_bits
+    got, grads = run(lambda: unroll(layer, xs)[0])
+    assert got.tobytes() == run(lambda: _stepped(layer, xs))[0].tobytes()
+    want_out, want = run(lambda: _reference_unroll(layer, xs))
+    assert np.abs(got - want_out).max() <= 1e-12 * np.abs(want_out).max()
     for name, g in grads.items():
         scale = np.abs(want[name]).max()
         assert np.abs(g - want[name]).max() <= 1e-12 * scale, name

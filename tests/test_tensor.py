@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from nornet.tensor import (ShapeError, Tape, Tensor, _mm2, add, block_matmul, concat,
+from nornet.tensor import (ShapeError, Tape, Tensor, _gemvs, _mm2, add, block_matmul, concat,
                            elementwise_mul, grad_check, matmul, reduce_sum, relu,
                            scale, sigmoid, sub, tanh)
 
@@ -86,6 +86,30 @@ def test_mm2_matches_running_sum_bit_for_bit(fill):
             with np.errstate(invalid="ignore", over="ignore"):
                 got, want = _mm2(a_, b_), _running_sum_mm2(a_, b_)
             assert _same_bits(got, want), (fill, m, k, n)
+
+
+# the cell and combiner weights of the perfbench layers: conll-irnn (h=197)
+# and trec-ma (h=74) over 300-wide embeddings, sst-ss (h=61) tier-2 and
+# combiner blocks
+_LAYER_SHAPES = [(197, 300), (74, 300), (61, 183), (61, 122), (61, 61)]
+
+
+def test_stacked_matmul_slices_are_lone_gemvs_bit_for_bit():
+    # the scan and the combiner rest on this: np.matmul over a leading axis
+    # makes, slice by slice, the lone a @ x product, on contiguous operands and
+    # on the column blocks and transposed views the layers pass
+    rng = np.random.default_rng(8)
+    shapes = _LAYER_SHAPES + [tuple(int(v) for v in rng.integers(1, 90, size=2)) for _ in range(12)]
+    for m, k in shapes:
+        wide = rng.normal(size=(m, 3 * k))
+        for a in (np.ascontiguousarray(wide[:, k:2 * k]), wide[:, k:2 * k]):
+            for n in (1, 2, 7, 30):
+                b = rng.normal(size=(k, n))
+                for b_ in (b, np.ascontiguousarray(b.T).T):
+                    stacked, got = np.matmul(a, b_.T[:, :, None]), _gemvs(a, b_)
+                    for j in range(n):
+                        lone = (a @ np.ascontiguousarray(b_[:, j])).tobytes()
+                        assert stacked[j, :, 0].tobytes() == lone == got[j].tobytes(), (m, k, n, j)
 
 
 def _blocks(rng, dims, rows=4):

@@ -5,7 +5,8 @@
 For the trec, conll and sst presets and every standard topology plus ma2,
 each tree builds the preset model at hidden size 6 from fixed seeds, takes
 one 6-sentence batch with the preset's dropout, and backpropagates the batch
-loss.  Each tree runs in its own process, with `<tree>/src` on the path.
+loss.  Each tree runs in its own process, with `<tree>/src` on the path
+and BLAS pinned to one thread.
 One line per family says whether the two batch losses are bit-identical and
 gives the largest max|dg| / max|g| over the family's parameters.  The script
 exits 1 if a loss differs or a ratio exceeds 1e-12.
@@ -66,7 +67,9 @@ def emit(path: str) -> None:
 
 
 def run_tree(tree: Path, path: Path) -> dict[str, np.ndarray]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # one BLAS thread, as perfbench runs: forward bits depend on the thread count
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     subprocess.run([sys.executable, __file__, "--emit", str(path)], env=env, check=True)
     with np.load(path) as arrays:
         return dict(arrays)

@@ -7,9 +7,10 @@ Covers the 8 layer kinds as a 2-layer unidirectional softmax classifier and
 a 2-layer bidirectional CRF tagger, plus parallel2 with layer_input wiring
 (both heads), parallel with n=5 and the edge counts mixed (3, 0) and (0, 2),
 gated 1 and shared 1 (input width 8, budget 4000).  Each tree runs in its
-own process, with `<tree>/src` on the path.  One line per family gives the
-change tree's size, count and digest, marked `same` when the parent tree
-printed the same line and `DIFFERS` (with the parent's fields) otherwise.
+own process, with `<tree>/src` on the path and BLAS pinned to one thread.
+One line per family gives the change tree's size, count and digest, marked
+`same` when the parent tree printed the same line and `DIFFERS` (with the
+parent's fields) otherwise.
 The script exits 1 on any difference.
 """
 import hashlib
@@ -76,7 +77,9 @@ def digests():
 
 
 def run_tree(tree: Path) -> list[str]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # one BLAS thread, as perfbench runs: forward bits depend on the thread count
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     proc = subprocess.run([sys.executable, __file__, "--emit"], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     return proc.stdout.splitlines()
