@@ -1,25 +1,26 @@
 """Single recurrent cells: relu and sigmoid simple cells, GRU, LSTM.
 
-Every cell is a pure step function over (input, state, params).  Parameters
-live in a CellParams record holding one input matrix, one recurrent matrix
-and one bias vector per gate; the simple cells have a single unnamed gate.
-A relu or sigmoid cell also runs over a whole (d, T) sequence as one tape op,
-`scan`; its step is the scan at T = 1.
+Parameters live in a CellParams record holding one input matrix, one
+recurrent matrix and one bias vector per gate; the simple cells have a single
+unnamed gate.  Every kind runs over a whole (d, T) sequence as one tape op,
+`scan`, whose backward is backpropagation through time; a cell's step is the
+scan at T = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
-from .tensor import (ShapeError, Tensor, _emit, _gemvs, _sigmoid, add, col,
-                     elementwise_mul, matmul, sigmoid, stack, sub, tanh)
+from .tensor import ShapeError, Tensor, _emit, _gemvs, _sigmoid, col, stack
+from .tensor import matmul  # noqa: F401  perfbench's tracer test reads cells.matmul
 
 __all__ = [
     "GATE_NAMES", "CellParams", "CellState", "new_cell_params", "zero_state",
-    "cell_step", "scan", "simple_rnn_step", "gate_rnn_step", "gru_step", "lstm_step",
-    "identity_recurrence_init", "glorot_init",
+    "cell_step", "scan", "identity_recurrence_init", "glorot_init",
 ]
 
 # gate vocabularies per cell kind; "simple" is the relu cell, "gate" the
@@ -115,100 +116,126 @@ def glorot_init(params: CellParams, rng: np.random.Generator) -> None:
 
 
 def zero_state(kind: str, hidden: int) -> CellState:
-    h = Tensor(np.zeros(hidden))
-    if kind == "lstm":
-        return CellState(h=h, c=Tensor(np.zeros(hidden)))
-    return CellState(h=h)
+    return CellState(Tensor(np.zeros(hidden)), Tensor(np.zeros(hidden)) if kind == "lstm" else None)
 
 
-def _affine(p: CellParams, gate: str, x: Tensor, h: Tensor) -> Tensor:
-    return add(add(matmul(p.w[gate], x), matmul(p.u[gate], h)), p.b[gate])
+def _total(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays added one at a time, in list order."""
+    return sum(arrays[1:], arrays[0])
 
 
-def scan(parts: list[Tensor], state: CellState | None, p: CellParams) -> tuple[Tensor, CellState]:
-    """A relu or sigmoid cell over (d_j, T) input parts from state (None: zeros
-    the tape does not record), as one tape op: the (hidden, T) outputs and the
-    final state.  Column t is act((W x_t + U h_{t-1}) + b) in BLAS gemvs: W x_t
-    one per part on its column block of W, added in part order, for all t at
-    once (tensor._gemvs), and U h_{t-1} one per step.  A step is the scan at
-    T = 1, so it has the scan's bits.  Backward is backpropagation through time
-    in numpy: W and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ), each part its
-    block's Wᵀ G."""
-    W, U, b, Xs = p.w["h"].data, p.u["h"].data, p.b["h"].data, [x.data for x in parts]
-    relu, h0 = p.kind == "simple", state is not None
-    edges = np.cumsum([0] + [X.shape[0] for X in Xs])
-    if (any(X.ndim != 2 or X.shape[1] != Xs[0].shape[1] for X in Xs) or edges[-1] != W.shape[1]
-            or h0 and state.h.shape != b.shape):
-        raise ShapeError(f"scan of a cell {W.shape} takes (d, T) input parts and an h state, "
-                         f"got {[X.shape for X in Xs]} and {state and state.h.shape}")
-    blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
-    prods = [_gemvs(blk, X) for blk, X in zip(blocks, Xs)]
-    H = np.empty((Xs[0].shape[1] + 1, b.shape[0]))   # row 0 is the initial h
-    H[0] = state.h.data if h0 else 0.0
-    for t, wx in enumerate(sum(prods[1:], prods[0])):
-        pre = (wx + U @ H[t]) + b
+def _plain(relu, wx, U, b, h0, H):
+    """h' = act((W x + U h) + b) for a relu or a sigmoid cell."""
+    (wx,), (U,), (b,) = wx, U, b
+    for t, x in enumerate(wx):
+        pre = (x + U @ H[t]) + b
         H[t + 1] = np.where(pre > 0, pre, 0.0) if relu else _sigmoid(pre)
     out = H[1:]
 
-    def bwd(g):
+    def back(g, gc):
         G, carry = np.empty_like(out), 0.0
         for t in range(len(out) - 1, -1, -1):
             gh, o = g[:, t] + carry, out[t]
             G[t] = gh * (o > 0) if relu else gh * o * (1.0 - o)
             carry = U.T @ G[t] if t or h0 else None
-        grads = ((G.T, np.concatenate(Xs).T), (G.T, H[:-1]), G.sum(axis=0),
-                 *(blk.T @ G.T for blk in blocks))
-        return grads + (carry,) if h0 else grads
+        return [G], [H[:-1]], (carry,)
 
-    seq = _emit("scan", out.T, (p.w["h"], p.u["h"], p.b["h"], *parts) + ((state.h,) if h0 else ()), bwd)
-    return seq, CellState(h=col(seq, len(out) - 1))
+    return out, None, back
 
 
-def simple_rnn_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
-    """h' = relu((W x + U h) + b), the scan at T = 1."""
-    return scan([stack([x])], state, p)[1]
+def _gru(wx, U, b, h0, H):
+    """z, r = σ((W x + U h) + b), n = tanh((W_c x + U_c (r∗h)) + b_c), h' = (1 − z)∗h + z∗n."""
+    (wz, wr, wc), (Uz, Ur, Uc), (bz, br, bc) = wx, U, b
+    Z, R, RH, N = np.empty((4,) + wz.shape)
+    for t, h in enumerate(H[:-1]):
+        Z[t] = _sigmoid((wz[t] + Uz @ h) + bz)
+        R[t] = _sigmoid((wr[t] + Ur @ h) + br)
+        RH[t] = R[t] * h
+        N[t] = np.tanh((wc[t] + Uc @ RH[t]) + bc)
+        H[t + 1] = (1.0 - Z[t]) * h + Z[t] * N[t]
+
+    def back(g, gc):
+        G, carry = np.empty((3,) + wz.shape), 0.0   # z, r, c by step
+        for t in range(len(wz) - 1, -1, -1):
+            gh, h, z, r, n = g[:, t] + carry, H[t], Z[t], R[t], N[t]
+            G[2, t] = gh * z * (1.0 - n * n)
+            grh = Uc.T @ G[2, t]
+            G[0, t] = gh * (n - h) * z * (1.0 - z)
+            G[1, t] = grh * h * r * (1.0 - r)
+            carry = gh * (1.0 - z) + grh * r + Uz.T @ G[0, t] + Ur.T @ G[1, t] if t or h0 else None
+        return list(G), [H[:-1], H[:-1], RH], (carry,)
+
+    return H[1:], None, back
 
 
-def gate_rnn_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
-    """h' = sigmoid((W x + U h) + b), the scan at T = 1."""
-    return scan([stack([x])], state, p)[1]
+def _lstm(wx, U, b, h0, H, C):
+    """i, f, o = σ((W x + U h) + b), g likewise with tanh, c' = c∗f + g∗i, h' = tanh(c')∗o."""
+    A, TC = np.empty((4,) + wx[0].shape), np.empty_like(wx[0])   # A: i, f, o, g by step
+    for t in range(len(TC)):
+        pre = [(w[t] + u @ H[t]) + bias for w, u, bias in zip(wx, U, b)]
+        A[:, t] = (*map(_sigmoid, pre[:3]), np.tanh(pre[3]))
+        i, f, o, g = A[:, t]
+        C[t + 1] = C[t] * f + g * i
+        TC[t] = np.tanh(C[t + 1])
+        H[t + 1] = TC[t] * o
+
+    def back(g, gc):
+        G, ch, cc = np.empty_like(A), 0.0, gc
+        for t in range(len(TC) - 1, -1, -1):
+            (i, f, o, gg), tc, gh = A[:, t], TC[t], g[:, t] + ch
+            dc = cc + gh * o * (1.0 - tc * tc)
+            G[:, t] = (dc * gg * i * (1.0 - i), dc * C[t] * f * (1.0 - f),
+                       gh * tc * o * (1.0 - o), dc * i * (1.0 - gg * gg))
+            if t or h0:
+                ch, cc = _total([u.T @ G[k, t] for k, u in enumerate(U)]), dc * f
+        return list(G), [H[:-1]] * 4, (ch, cc)
+
+    return H[1:], C[-1], back
 
 
-def gru_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
-    """Update/reset-gated cell: h' = (1 - z) * h + z * cand."""
-    h = state.h
-    z = sigmoid(_affine(p, "z", x, h))
-    r = sigmoid(_affine(p, "r", x, h))
-    cand = tanh(add(add(matmul(p.w["c"], x), matmul(p.u["c"], elementwise_mul(r, h))), p.b["c"]))
-    one = Tensor(np.ones_like(z.data))
-    h_new = add(elementwise_mul(sub(one, z), h), elementwise_mul(z, cand))
-    return CellState(h=h_new)
+_RECURRENCES = {"simple": partial(_plain, True), "gate": partial(_plain, False),
+                "gru": _gru, "lstm": _lstm}
 
 
-def lstm_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
-    """Standard lstm with independent forget-gate weights.
+def scan(parts: list[Tensor], state: CellState | None, p: CellParams) -> tuple[Tensor, CellState]:
+    """A cell over (d_j, T) input parts from state (None: zeros the tape does
+    not record) as one tape op: the (hidden, T) outputs and the final state,
+    whose lstm c is a second op on the same inputs.  Each gate's W x_t is a
+    BLAS gemv per part on its column block of W, added in part order, for all
+    t at once (tensor._gemvs); U h is a gemv per gate and step.  A step is the
+    scan at T = 1.  Backward is per-kind backpropagation through time: each
+    gate's W and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ) (gru's U_c:
+    (r∗H_prev)ᵀ), each part its blocks' Wᵀ G added in gate order."""
+    ws, us, bs = list(p.w.values()), list(p.u.values()), list(p.b.values())
+    Xs, h0 = [x.data for x in parts], state is not None
+    inits = (state.h, state.c)[:1 + (p.kind == "lstm")] if h0 else ()
+    edges = list(accumulate((X.shape[0] for X in Xs), initial=0))
+    if (any(X.ndim != 2 or X.shape[1] != Xs[0].shape[1] for X in Xs) or edges[-1] != p.input_dim
+            or any(s is None or s.shape != bs[0].shape for s in inits)):
+        raise ShapeError(f"scan of a {p.kind} cell {ws[0].shape} takes (d, T) input parts and "
+                         f"its state, got {[X.shape for X in Xs]} and {state}")
+    blocks = [[w.data[:, i:j] for i, j in zip(edges, edges[1:])] for w in ws]
+    wx = [_total([_gemvs(blk, X) for blk, X in zip(bl, Xs)]) for bl in blocks]
+    S = np.zeros((1 + (p.kind == "lstm"), len(wx[0]) + 1, p.hidden))   # H (and lstm C), row 0 initial
+    for row, s in zip(S, inits):
+        row[0] = s.data
+    out, c_last, back = _RECURRENCES[p.kind](wx, [u.data for u in us], [b.data for b in bs], h0, *S)
 
-    c' = c * f + g * i, h' = tanh(c') * o.
-    """
-    if state.c is None:
-        raise ValueError("lstm step needs a state with cell memory")
-    h = state.h
-    i = sigmoid(_affine(p, "i", x, h))
-    f = sigmoid(_affine(p, "f", x, h))
-    o = sigmoid(_affine(p, "o", x, h))
-    g = tanh(_affine(p, "g", x, h))
-    c_new = add(elementwise_mul(state.c, f), elementwise_mul(g, i))
-    h_new = elementwise_mul(tanh(c_new), o)
-    return CellState(h=h_new, c=c_new)
+    def bwd(g, gc):
+        Gs, Hins, carries = back(g, gc)
+        X = np.concatenate(Xs).T
+        grads = (*((G.T, X) for G in Gs), *((G.T, Hin) for G, Hin in zip(Gs, Hins)),
+                 *(G.sum(axis=0) for G in Gs),
+                 *(_total([bl[j].T @ G.T for bl, G in zip(blocks, Gs)]) for j in range(len(Xs))))
+        return grads + carries if h0 else grads
 
-
-_STEPS = {
-    "simple": simple_rnn_step,
-    "gate": gate_rnn_step,
-    "gru": gru_step,
-    "lstm": lstm_step,
-}
+    inputs = (*ws, *us, *bs, *parts, *inits)
+    seq = _emit("scan", out.T, inputs, lambda g: bwd(g, 0.0))
+    c = None if c_last is None else _emit("scan_c", c_last, inputs,
+                                          lambda g: bwd(np.zeros(out.T.shape), g))
+    return seq, CellState(h=col(seq, len(out) - 1), c=c)
 
 
 def cell_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
-    return _STEPS[p.kind](x, state, p)
+    """One token from state: the scan at T = 1."""
+    return scan([stack([x])], state, p)[1]

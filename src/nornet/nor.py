@@ -26,9 +26,9 @@ Each recurrent neuron keeps its own cells.CellState: the output it produced
 on the previous step (and an lstm's cell memory).  The combiner is
 o = relu(W [s_1; ...; s_m] + b).
 
-No cell reads another's state and nothing feeds back, so a layer of relu and
-sigmoid cells runs time-major: one (d, T) input, one cells.scan op per cell
-and one combiner op over all T columns.  gru and lstm layers step per token.
+No cell reads another's state and nothing feeds back, so every layer runs
+time-major: one (d, T) input, one cells.scan op per cell (an lstm's final
+cell memory is one more) and one combiner op over all T columns.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import CellParams, CellState, cell_step, new_cell_params, scan, zero_state
+from .cells import CellParams, CellState, new_cell_params, scan, zero_state
 from .tensor import ShapeError, Tensor, _emit, _gemvs, _keyed_sum, col, concat, elementwise_mul, stack
 from .tensor import matmul  # noqa: F401  perfbench's tracer test reads nor.matmul
 
@@ -209,8 +209,8 @@ class NorLayer:
         return outs[0], state
 
     def run(self, x: Tensor, state: list[list[CellState]] | None) -> tuple[Tensor, list]:
-        """A relu and sigmoid layer over a (d, T) input from state, by default
-        zeros the tape does not record: (hidden, T) outputs, final state."""
+        """The layer over a (d, T) input from state, by default zeros the tape
+        does not record: (hidden, T) outputs, final state."""
         state = state or [[None] * len(tiers) for tiers in self.cells]
         # tier 1 everywhere first, so shared wiring can see every output;
         # every subnetwork reads the same input tensor
@@ -241,18 +241,10 @@ class NorLayer:
 
 def unroll(layer: NorLayer, inputs: list[Tensor], state: list[list[CellState]] | None = None):
     """(outputs, final state) of a layer over a sequence from state, by default
-    its initial state (unrecorded zeros for a scan); gru and lstm step per
-    token, the rest run time-major."""
+    zeros the tape does not record: the inputs stacked once, the layer run
+    time-major, its output handed back one column per step."""
     if not inputs:
         raise ValueError("cannot unroll over an empty sequence")
-    cell = layer.cells[0][0]
-    if cell.kind in ("gru", "lstm"):
-        state = layer.initial_state() if state is None else state
-        outputs = []
-        for x in inputs:
-            state = [[cell_step(x, state[0][0], cell)]]
-            outputs.append(state[0][0].h)
-        return outputs, state
     out, state = layer.run(stack(inputs), state)
     return [col(out, t) for t in range(len(inputs))], state
 

@@ -6,6 +6,7 @@ backward() walks the node list in reverse.  Tensors created outside a tape
 (parameters, constants) are registered lazily the first time an op touches
 them.  The registration lives in the tape, so the same parameter tensors
 can be reused across many tapes, including tapes on other threads.
+relu, sigmoid, tanh, sub and block_matmul serve only as the tests' reference ops.
 """
 
 from __future__ import annotations
@@ -175,13 +176,13 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 # T = 1, makes the same calls.  A zero weight block gives an exact zero
 # product, and block products are added one at a time, so zero blocks move no
 # bit.  These bits depend on the numpy and BLAS build and the thread count.
-# matmul (the heads, gru and lstm) and block_matmul add each entry's terms
-# strictly left to right (_mm2), which rests on numpy reducing a leading axis
-# one row at a time, as checked on numpy 2.4.6.  No bitwise claim rests on
-# gradients, so backward products use BLAS (numpy @; an inner dimension of 1
-# stays a * b), and the gradient toward the matrix (a weight) goes to the tape
-# as a factor pair, multiplied out in bulk by Tape.backward.  _lse (the heads'
-# log-partitions) and reduce_sum are plain numpy sums.
+# matmul (the heads) and block_matmul add each entry's terms strictly left to
+# right (_mm2), which rests on numpy reducing a leading axis one row at a time,
+# as checked on numpy 2.4.6.  No bitwise claim rests on gradients, so backward
+# products use BLAS (numpy @; an inner dimension of 1 stays a * b), and the
+# gradient toward the matrix (a weight) goes to the tape as a factor pair,
+# multiplied out in bulk by Tape.backward.  _lse (the heads' log-partitions)
+# and reduce_sum are plain numpy sums.
 
 
 def _gemvs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nornet import budget
-from nornet.cells import GATE_NAMES, cell_step, new_cell_params, zero_state
+from nornet.cells import GATE_NAMES, CellState, cell_step, new_cell_params, zero_state
 from nornet.nor import (LAYER_KINDS, LayerSpec, NorLayer, bidirectional_wrap,
                         component_o_combine, unroll)
 from nornet.tensor import (Tape, Tensor, add, block_matmul, concat, elementwise_mul, grad_check,
-                           matmul, reduce_sum, relu, sigmoid)
+                           matmul, reduce_sum, relu, sigmoid, sub, tanh)
 
 
 def _copy_params(dst_layer, src_layer):
@@ -233,11 +233,11 @@ def test_wiring_controls_tier2_input_width():
     assert shared.cells[0][1].input_dim == 6
 
 
-# every layer kind built from relu and sigmoid cells, ma2 in both wirings
+# every layer kind, ma2 in both wirings
 _TIME_MAJOR = [LayerSpec("simple"), LayerSpec("parallel", 2), LayerSpec("parallel2", 2),
                LayerSpec("parallel2", 2, "layer_input"), LayerSpec("mixed", (1, 1)),
-               LayerSpec("shared", 2), LayerSpec("gated", 2)]
-_IDS = ["irnn", "ma", "ma2", "ma2-layer_input", "ms", "ss", "gate"]
+               LayerSpec("shared", 2), LayerSpec("gated", 2), LayerSpec("gru"), LayerSpec("lstm")]
+_IDS = ["irnn", "ma", "ma2", "ma2-layer_input", "ms", "ss", "gate", "gru", "lstm"]
 
 
 def _op_kinds(layer, steps):
@@ -261,7 +261,8 @@ def test_shared_tier2_reads_every_tier1_output_as_a_part():
 @pytest.mark.parametrize("spec", _TIME_MAJOR, ids=_IDS)
 def test_unroll_from_no_state_records_no_state_leaf(spec):
     # the leaves are the parameters and the inputs; a given state adds one h
-    # leaf per cell, and the parameter gradients do not move a bit
+    # leaf per cell (an lstm cell's c is one more), and the parameter
+    # gradients do not move a bit
     layer = NorLayer(spec, 4, 3, np.random.default_rng(44))
     params = layer.named_parameters()
     xs = [Tensor(x) for x in np.random.default_rng(45).normal(size=(5, 4))]
@@ -274,7 +275,8 @@ def test_unroll_from_no_state_records_no_state_leaf(spec):
 
     leaves, grads = run(None)
     assert leaves == len(params) + len(xs)
-    assert run(layer.initial_state()) == (leaves + sum(map(len, layer.cells)), grads)
+    states = sum(1 + (c.kind == "lstm") for tiers in layer.cells for c in tiers)
+    assert run(layer.initial_state()) == (leaves + states, grads)
 
 
 @pytest.mark.parametrize("spec", _TIME_MAJOR, ids=_IDS)
@@ -286,8 +288,7 @@ def test_layer_nodes_grow_only_by_column_ops(spec):
     assert long - short == Counter(col=5) and short["stack"] == 1
 
 
-@pytest.mark.parametrize("spec", _TIME_MAJOR + [LayerSpec("gru"), LayerSpec("lstm")],
-                         ids=_IDS + ["gru", "lstm"])
+@pytest.mark.parametrize("spec", _TIME_MAJOR, ids=_IDS)
 def test_finished_tape_is_freed_without_the_cycle_collector(spec):
     # a backward closure that held a tensor would hold its tape in a cycle:
     # every tape of a training run would then wait for a collector pass
@@ -306,20 +307,32 @@ def test_finished_tape_is_freed_without_the_cycle_collector(spec):
 
 def _reference_unroll(layer, xs):
     """The layer as a step composition of ordered tensor ops: per step and
-    cell two products, two adds and an activation, and a block-product
-    combiner."""
-    def cell(p, parts, h):
-        act = relu if p.kind == "simple" else sigmoid
-        return act(add(add(matmul(p.w["h"], concat(parts)), matmul(p.u["h"], h)), p.b["h"]))
+    cell gate by gate two products, two adds and an activation, then a gru's
+    or an lstm's elementwise state update, and a block-product combiner."""
+    def aff(p, gate, x, h):
+        return add(add(matmul(p.w[gate], x), matmul(p.u[gate], h)), p.b[gate])
+
+    def cell(p, parts, st):
+        x, h = concat(parts), st.h
+        if p.kind == "gru":
+            z, r = sigmoid(aff(p, "z", x, h)), sigmoid(aff(p, "r", x, h))
+            cand = tanh(aff(p, "c", x, elementwise_mul(r, h)))
+            one = Tensor(np.ones(z.shape))
+            return CellState(add(elementwise_mul(sub(one, z), h), elementwise_mul(z, cand)))
+        if p.kind == "lstm":
+            i, f, o = (sigmoid(aff(p, gate, x, h)) for gate in "ifo")
+            c = add(elementwise_mul(st.c, f), elementwise_mul(tanh(aff(p, "g", x, h)), i))
+            return CellState(elementwise_mul(tanh(c), o), c)
+        return CellState((relu if p.kind == "simple" else sigmoid)(aff(p, "h", x, h)))
 
     spec, outs = layer.topology, []
-    hs = [[zero_state(c.kind, c.hidden).h for c in tiers] for tiers in layer.cells]
+    sts = layer.initial_state()
     for x in xs:
-        tier1 = [cell(tiers[0], [x], hs[i][0]) for i, tiers in enumerate(layer.cells)]
-        feeds = spec.tier2_feeds(x, tier1)
-        hs = [[h] + ([cell(tiers[1], feeds[i], hs[i][1])] if len(tiers) == 2 else [])
-              for i, (h, tiers) in enumerate(zip(tier1, layer.cells))]
-        last = [h[-1] for h in hs]
+        tier1 = [cell(tiers[0], [x], sts[i][0]) for i, tiers in enumerate(layer.cells)]
+        feeds = spec.tier2_feeds(x, [st.h for st in tier1])
+        sts = [[st] + ([cell(tiers[1], feeds[i], sts[i][1])] if len(tiers) == 2 else [])
+               for i, (st, tiers) in enumerate(zip(tier1, layer.cells))]
+        last = [st[-1].h for st in sts]
         outs.append(last[0] if layer.w_mlp is None else relu(add(
             block_matmul(layer.w_mlp, spec.merge(last, elementwise_mul)), layer.b_mlp)))
     return outs
@@ -362,9 +375,11 @@ def test_time_major_layer_matches_step_composition(spec, steps):
         assert np.abs(g - want[name]).max() <= 1e-12 * scale, name
 
 
-@pytest.mark.parametrize("spec", [LayerSpec("shared", 2), LayerSpec("gated", 2)],
-                         ids=["ss", "gate"])
+@pytest.mark.parametrize("spec", [LayerSpec("shared", 2), LayerSpec("gated", 2), LayerSpec("gru"),
+                                  LayerSpec("lstm")], ids=["ss", "gate", "gru", "lstm"])
 def test_unroll_carries_state_across_calls(spec):
+    # the lstm's carried c is a recorded tensor, so the grad check reaches
+    # the first call's parameters through it
     rng = np.random.default_rng(53)
     layer = NorLayer(spec, 4, 3, rng)
     params = layer.named_parameters()

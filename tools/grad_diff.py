@@ -7,8 +7,9 @@ each tree builds the preset model at hidden size 6 from fixed seeds, takes
 one 6-sentence batch with the preset's dropout, and backpropagates the batch
 loss.  Each tree runs in its own process, with `<tree>/src` on the path
 and BLAS pinned to one thread.
-One line per family says whether the two batch losses are bit-identical and
-gives the largest max|dg| / max|g| over the family's parameters.  The script
+One line per family says whether the two batch losses are bit-identical (if
+not, by how much relative to the parent's) and gives the largest
+max|dg| / max|g| over the family's parameters.  The script
 exits 1 if a loss differs or a ratio exceeds 1e-12.
 """
 import os
@@ -91,7 +92,8 @@ def main(argv) -> int:
         return 1
     ok = True
     for fam in dict.fromkeys(key.rsplit("|", 1)[0] for key in parent):
-        same_loss = parent[f"{fam}|loss"].tobytes() == change[f"{fam}|loss"].tobytes()
+        loss, new_loss = parent[f"{fam}|loss"], change[f"{fam}|loss"]
+        same_loss = loss.tobytes() == new_loss.tobytes()
         worst = 0.0
         for key in parent:
             if key.rsplit("|", 1)[0] != fam or key.endswith("|loss"):
@@ -100,8 +102,8 @@ def main(argv) -> int:
             diff = np.abs(change[key] - parent[key]).max(initial=0.0)
             worst = max(worst, diff / scale if scale else (np.inf if diff else 0.0))
         ok = ok and same_loss and worst <= TOLERANCE
-        print(f"{fam.replace('|', '/'):12s} loss {'bit-identical' if same_loss else 'DIFFERS'}  "
-              f"max|dg|/max|g| {worst:.3e}")
+        verdict = "bit-identical" if same_loss else f"DIFFERS by {abs(new_loss - loss) / abs(loss):.3e}"
+        print(f"{fam.replace('|', '/'):12s} loss {verdict}  max|dg|/max|g| {worst:.3e}")
     return 0 if ok else 1
 
 
