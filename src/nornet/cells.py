@@ -197,17 +197,19 @@ _RECURRENCES = {"simple": partial(_plain, True), "gate": partial(_plain, False),
                 "gru": _gru, "lstm": _lstm}
 
 
-def scan(parts: list[Tensor], state: CellState | None, p: CellParams) -> tuple[Tensor, CellState]:
+def scan(parts: list, state: CellState | None, p: CellParams) -> tuple:
     """A cell over (d_j, T) input parts from state (None: zeros the tape does
-    not record) as one tape op: the (hidden, T) outputs and the final state,
-    whose lstm c is a second op on the same inputs.  Each gate's W x_t is a
-    BLAS gemv per part on its column block of W, added in part order, for all
-    t at once (tensor._gemvs); U h is a gemv per gate and step.  A step is the
-    scan at T = 1.  Backward is per-kind backpropagation through time: each
-    gate's W and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ) (gru's U_c:
-    (r∗H_prev)ᵀ), each part its blocks' Wᵀ G added in gate order."""
+    not record) as one tape op: the (hidden, T) outputs, and a function that
+    records the final state (an lstm's c is a second op).  An ndarray part is
+    a constant: no leaf, no Wᵀ G.  Each gate's W x_t is a BLAS gemv per part
+    on its column block of W, added in part order, for all t at once
+    (tensor._gemvs); U h is a gemv per gate and step.  A step is the scan at
+    T = 1.  Backward is per-kind backpropagation through time: each gate's W
+    and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ) (gru's U_c:
+    (r∗H_prev)ᵀ), each taped part its blocks' Wᵀ G added in gate order."""
     ws, us, bs = list(p.w.values()), list(p.u.values()), list(p.b.values())
-    Xs, h0 = [x.data for x in parts], state is not None
+    taped = [j for j, x in enumerate(parts) if isinstance(x, Tensor)]
+    Xs, h0 = [x.data if isinstance(x, Tensor) else x for x in parts], state is not None
     inits = (state.h, state.c)[:1 + (p.kind == "lstm")] if h0 else ()
     edges = list(accumulate((X.shape[0] for X in Xs), initial=0))
     if (any(X.ndim != 2 or X.shape[1] != Xs[0].shape[1] for X in Xs) or edges[-1] != p.input_dim
@@ -226,16 +228,15 @@ def scan(parts: list[Tensor], state: CellState | None, p: CellParams) -> tuple[T
         X = np.concatenate(Xs).T
         grads = (*((G.T, X) for G in Gs), *((G.T, Hin) for G, Hin in zip(Gs, Hins)),
                  *(G.sum(axis=0) for G in Gs),
-                 *(_total([bl[j].T @ G.T for bl, G in zip(blocks, Gs)]) for j in range(len(Xs))))
+                 *(_total([bl[j].T @ G.T for bl, G in zip(blocks, Gs)]) for j in taped))
         return grads + carries if h0 else grads
 
-    inputs = (*ws, *us, *bs, *parts, *inits)
+    inputs = (*ws, *us, *bs, *(parts[j] for j in taped), *inits)
     seq = _emit("scan", out.T, inputs, lambda g: bwd(g, 0.0))
-    c = None if c_last is None else _emit("scan_c", c_last, inputs,
-                                          lambda g: bwd(np.zeros(out.T.shape), g))
-    return seq, CellState(h=col(seq, len(out) - 1), c=c)
+    return seq, lambda: CellState(col(seq, len(out) - 1), c_last if c_last is None else _emit(
+        "scan_c", c_last, inputs, lambda g: bwd(np.zeros(out.T.shape), g)))
 
 
 def cell_step(x: Tensor, state: CellState, p: CellParams) -> CellState:
     """One token from state: the scan at T = 1."""
-    return scan([stack([x])], state, p)[1]
+    return scan([stack([x])], state, p)[1]()

@@ -1,13 +1,13 @@
 """Task heads: max-pool-over-time classification and a linear-chain CRF.
 
-The classification head pools layer outputs across time with elementwise
-max (ties resolve to the earliest step) and applies a linear projection
-with softmax cross-entropy; the pool and the loss are one tape op each.
-The tagging head scores tag sequences with per-step emission vectors plus
-a transition matrix over K real tags and two virtual states (start, stop).
-The negative log-likelihood is one tape op: the forward algorithm in
-numpy, and reverse mode through that recursion, whose gradient is the
-expected minus the observed counts.
+Both heads read a (features, T) matrix, a column per step (a list of steps
+is stacked into one first).  The classifier max-pools it over time (ties go
+to the earliest step) into a softmax cross-entropy, one tape op each.  The
+tagger projects it to (K, T) emissions in one op and scores tag sequences
+with them and transitions over K real tags and two virtual states (start,
+stop).  The negative log-likelihood is one tape op: the forward algorithm
+in numpy, and reverse mode through it, whose gradient is the expected minus
+the observed counts.  No backward closure holds a Tensor (and its tape).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _emit, _lse, add, matmul
+from .tensor import ShapeError, Tensor, _bmm, _emit, _lse, _mm2, add, matmul, stack
 
 __all__ = [
     "SoftmaxHeadParams", "CrfParams", "new_softmax_head", "new_crf_head",
@@ -29,10 +29,6 @@ __all__ = [
 class SoftmaxHeadParams:
     w: Tensor   # (classes, feature_dim)
     b: Tensor   # (classes,)
-
-    @property
-    def classes(self) -> int:
-        return self.b.shape[0]
 
     def logits(self, features: Tensor) -> Tensor:
         return add(matmul(self.w, features), self.b)
@@ -67,7 +63,19 @@ class CrfParams:
         return self.tags + 1
 
     def emission(self, features: Tensor) -> Tensor:
-        return add(matmul(self.proj_w, features), self.proj_b)
+        """proj_w F + proj_b over an (F, T) matrix or a vector as one op: one
+        ordered product (_mm2), each column its one-column product bit for bit."""
+        W, B, F = self.proj_w.data, self.proj_b.data, features.data
+        if F.ndim not in (1, 2) or W.shape[1] != F.shape[0]:
+            raise ShapeError(f"emission: weight {W.shape}, features {F.shape}")
+        F2 = F.reshape(len(F), -1)
+
+        def bwd(g):
+            G = g.reshape(len(B), -1)
+            return (G, F2.T), G.sum(axis=1), _bmm(W.T, G).reshape(F.shape)
+
+        out = (_mm2(W, F2) + B[:, None]).reshape(B.shape + F.shape[1:])
+        return _emit("emission", out, (self.proj_w, self.proj_b, features), bwd)
 
     def named(self, prefix: str = "crf") -> dict[str, Tensor]:
         return {f"{prefix}.proj_w": self.proj_w, f"{prefix}.proj_b": self.proj_b,
@@ -78,40 +86,41 @@ def new_softmax_head(feature_dim: int, classes: int, rng: np.random.Generator) -
     if classes < 2:
         raise ValueError(f"softmax head needs at least 2 classes, got {classes}")
     lim = np.sqrt(6.0 / (feature_dim + classes))
-    return SoftmaxHeadParams(
-        w=Tensor(rng.uniform(-lim, lim, size=(classes, feature_dim))),
-        b=Tensor(np.zeros(classes)),
-    )
+    return SoftmaxHeadParams(w=Tensor(rng.uniform(-lim, lim, size=(classes, feature_dim))),
+                             b=Tensor(np.zeros(classes)))
 
 
 def new_crf_head(feature_dim: int, tags: int, rng: np.random.Generator) -> CrfParams:
     if tags < 1:
         raise ValueError(f"crf head needs at least 1 tag, got {tags}")
     lim = np.sqrt(6.0 / (feature_dim + tags))
-    return CrfParams(
-        proj_w=Tensor(rng.uniform(-lim, lim, size=(tags, feature_dim))),
-        proj_b=Tensor(np.zeros(tags)),
-        transitions=Tensor(rng.uniform(-0.1, 0.1, size=(tags + 2, tags + 2))),
-    )
+    return CrfParams(proj_w=Tensor(rng.uniform(-lim, lim, size=(tags, feature_dim))),
+                     proj_b=Tensor(np.zeros(tags)),
+                     transitions=Tensor(rng.uniform(-0.1, 0.1, size=(tags + 2, tags + 2))))
 
 
-def max_pool_over_time(outputs: list[Tensor]) -> Tensor:
-    """Elementwise max over time as one op.  Each entry's gradient goes to its
-    winning step: the earliest on ties, and the first NaN over any number."""
-    if not outputs:
-        raise ValueError("cannot pool an empty sequence")
-    shapes = sorted({t.shape for t in outputs})
-    if len(shapes) != 1 or len(shapes[0]) != 1:
-        raise ShapeError(f"max pool expects vectors of one shape, got {shapes}")
-    stack = np.array([t.data for t in outputs])
-    win, cols = stack.argmax(axis=0), np.arange(stack.shape[1])
+def _matrix(steps, rows: int | None = None) -> Tensor:
+    """A (rows, T) matrix, T >= 1, or a list of step vectors stacked into one."""
+    m = stack(steps) if isinstance(steps, list) else steps
+    if len(m.shape) != 2 or m.shape[1] < 1 or rows not in (None, m.shape[0]):
+        raise ShapeError(f"expected a ({rows or 'n'}, T) matrix or its columns, got {m.shape}")
+    return m
+
+
+def max_pool_over_time(outputs) -> Tensor:
+    """Elementwise max over time of an (h, T) matrix, or a list of steps, as
+    one op.  Each entry's gradient goes to its winning step: the earliest on
+    ties, and the first NaN over any number."""
+    outputs = _matrix(outputs)
+    M = outputs.data
+    rows, win = np.arange(M.shape[0]), M.argmax(axis=1)
 
     def bwd(g):
-        to_steps = np.zeros_like(stack)
-        to_steps[win, cols] = g
-        return tuple(to_steps)
+        to_steps = np.zeros(M.shape)
+        to_steps[rows, win] = g
+        return (to_steps,)
 
-    return _emit("max_pool", stack[win, cols], tuple(outputs), bwd)
+    return _emit("max_pool", M[rows, win], (outputs,), bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -131,30 +140,20 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
     return _emit("softmax_ce", np.asarray(lse - z[label]), (logits,), bwd)
 
 
-def _stacked(emissions, params: CrfParams) -> np.ndarray:
-    """The (T, K) matrix of a non-empty list of K-vector emissions."""
-    if not emissions:
-        raise ValueError("cannot score an empty sequence")
-    k = params.tags
-    bad = [e.shape for e in emissions if e.shape != (k,)]
-    if bad:
-        raise ValueError(f"emissions must be vectors of the head's {k} tags, got {bad[0]}")
-    return np.array([e.data for e in emissions])
-
-
-def crf_neg_log_likelihood(emissions: list[Tensor], tags: list[int], params: CrfParams) -> Tensor:
+def crf_neg_log_likelihood(emissions, tags: list[int], params: CrfParams) -> Tensor:
     """NLL of a tag sequence, log-partition minus the path score, as one op
-    over the per-step emission vectors and the transitions.
+    over the (K, T) emissions (or their K-vector steps) and the transitions.
 
     Path score and partition accumulate with the same association order, so
     with a single tag the loss is exactly zero.  The gradient runs reverse
     mode through the forward algorithm: the expected counts less the
     observed ones.
     """
-    if len(emissions) != len(tags):
-        raise ValueError(f"{len(emissions)} emission steps but {len(tags)} tags")
-    em = _stacked(emissions, params)
+    emissions = _matrix(emissions, params.tags)
+    em = emissions.data.T
     T, k = em.shape
+    if T != len(tags):
+        raise ValueError(f"{T} emission steps but {len(tags)} tags")
     for t in tags:
         if not 0 <= t < k:
             raise ValueError(f"tag {t} out of range for {k} tags")
@@ -188,20 +187,20 @@ def crf_neg_log_likelihood(emissions: list[Tensor], tags: list[int], params: Crf
         g_em[np.arange(T), tags] -= g
         for i, j in zip([start, *tags], [*tags, stop]):
             g_tr[i, j] -= g
-        return (*g_em, g_tr)
+        return g_em.T, g_tr
 
-    return _emit("crf_nll", np.asarray(log_z - score), (*emissions, trans), bwd)
+    return _emit("crf_nll", np.asarray(log_z - score), (emissions, trans), bwd)
 
 
-def crf_viterbi_decode(emissions: list[Tensor], params: CrfParams) -> tuple[list[int], float]:
-    """Best-scoring tag sequence and its score; ties pick the lowest tag index.
+def crf_viterbi_decode(emissions, params: CrfParams) -> tuple[list[int], float]:
+    """Best-scoring tag sequence and its score over the (K, T) emissions (or a
+    list of K-vector steps); ties pick the lowest tag index.
 
     Pure numpy, no tape involvement.
     """
-    em = _stacked(emissions, params)
+    em = _matrix(emissions, params.tags).data.T
     T, k = em.shape
-    tr = params.transitions.data
-    start, stop = params.start, params.stop
+    tr, start, stop = params.transitions.data, params.start, params.stop
 
     delta = tr[start, :k] + em[0]
     back = np.zeros((T, k), dtype=np.int64)

@@ -3,6 +3,11 @@
 Models hold frozen embeddings as a plain read-only array; only layer and
 head tensors appear in named_parameters(), which is what the optimizer
 and the checkpoint format operate on.
+
+A sentence runs time-major: its (d, T) embedding block, input dropout
+applied in numpy, is a constant (no leaf, no input gradient) for the first
+stack; each stack maps a (·, T) matrix to one and the head reads the last,
+so the tape ops per sentence grow with the layers, not the tokens.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .budget import ModelConfig
 from .heads import (crf_neg_log_likelihood, crf_viterbi_decode,
                     max_pool_over_time, new_crf_head, new_softmax_head,
                     softmax_cross_entropy)
-from .nor import NorLayer, bidirectional_wrap, unroll
+from .nor import NorLayer, bidirectional_wrap
 from .tensor import Tensor
 from .training import apply_dropout
 from . import data as data_io
@@ -44,9 +49,7 @@ class _ModelBase:
             raise ValueError(f"{len(names)} names for {config.head.classes} classes")
         if config.hidden is None:
             raise ValueError("config.hidden must be set to build a model")
-        self.config = config
-        self.embedding = embedding
-        self.names = list(names)
+        self.config, self.embedding, self.names = config, embedding, list(names)
         self.stacks: list[tuple] = []
         d = config.input_dim
         for spec in config.layers:
@@ -56,18 +59,19 @@ class _ModelBase:
             d = config.hidden * len(stack)
         self.head = self._new_head(d, config.head.classes, rng)
 
-    def _embed(self, tokens) -> list[Tensor]:
+    def _embed(self, tokens) -> np.ndarray:
+        """The (d, T) block of the frozen table, a constant off the tape."""
         if not tokens:
             raise ValueError("empty token sequence")
-        return [Tensor(self.embedding[i]) for i in tokens]
+        return np.take(self.embedding, tokens, axis=0).T
 
-    def _encode(self, tokens, rng, dropout, training) -> list[Tensor]:
-        xs = self._embed(tokens)
-        if training:
-            xs = [apply_dropout(x, dropout, rng) for x in xs]
+    def _encode(self, tokens, rng, dropout, training) -> Tensor:
+        """The last stack's (·, T) outputs; input dropout is one (T, d) draw."""
+        x = self._embed(tokens)
+        x = apply_dropout(x.T, dropout, rng).T if training else x
         for stack in self.stacks:
-            xs = unroll(stack[0], xs)[0] if len(stack) == 1 else bidirectional_wrap(*stack, xs)
-        return xs
+            x = stack[0].run(x, None)[0] if len(stack) == 1 else bidirectional_wrap(*stack, x)
+        return x
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -100,9 +104,7 @@ class SequenceClassifier(_ModelBase):
 
     def _features(self, tokens, rng, dropout, training):
         pooled = max_pool_over_time(self._encode(tokens, rng, dropout, training))
-        if training:
-            pooled = apply_dropout(pooled, dropout, rng)
-        return pooled
+        return apply_dropout(pooled, dropout, rng) if training else pooled
 
     def loss(self, tokens, label: int, rng=None, dropout: float = 0.0,
              training: bool = False) -> Tensor:
@@ -124,8 +126,8 @@ class SequenceTagger(_ModelBase):
     head_kind = "crf"
     _new_head = staticmethod(new_crf_head)
 
-    def _emissions(self, tokens, rng, dropout, training) -> list[Tensor]:
-        return [self.head.emission(h) for h in self._encode(tokens, rng, dropout, training)]
+    def _emissions(self, tokens, rng, dropout, training) -> Tensor:
+        return self.head.emission(self._encode(tokens, rng, dropout, training))
 
     def loss(self, tokens, tags, rng=None, dropout: float = 0.0,
              training: bool = False) -> Tensor:
@@ -133,25 +135,19 @@ class SequenceTagger(_ModelBase):
         return crf_neg_log_likelihood(em, tags, self.head)
 
     def predict(self, tokens) -> list[int]:
-        em = self._emissions(tokens, None, 0.0, False)
-        path, _ = crf_viterbi_decode(em, self.head)
-        return path
+        return crf_viterbi_decode(self._emissions(tokens, None, 0.0, False), self.head)[0]
 
     def evaluate(self, examples) -> float:
-        preds, golds = [], []
-        for tokens, tags in examples:
-            preds.append([self.names[t] for t in self.predict(tokens)])
-            golds.append([self.names[t] for t in tags])
-        _, _, f1 = data_io.entity_f1(preds, golds)
-        return f1
+        preds = [[self.names[t] for t in self.predict(tokens)] for tokens, _ in examples]
+        golds = [[self.names[t] for t in tags] for _, tags in examples]
+        return data_io.entity_f1(preds, golds)[2]
 
 
 def build_model(config: ModelConfig, embedding: np.ndarray, names: list[str],
                 rng: np.random.Generator):
     """names are the label strings (softmax head) or tag strings (crf head)."""
-    if config.head.kind == "crf":
-        return SequenceTagger(config, embedding, names, rng)
-    return SequenceClassifier(config, embedding, names, rng)
+    kind = SequenceTagger if config.head.kind == "crf" else SequenceClassifier
+    return kind(config, embedding, names, rng)
 
 
 # --- checkpoints -----------------------------------------------------------

@@ -27,18 +27,20 @@ on the previous step (and an lstm's cell memory).  The combiner is
 o = relu(W [s_1; ...; s_m] + b).
 
 No cell reads another's state and nothing feeds back, so every layer runs
-time-major: one (d, T) input, one cells.scan op per cell (an lstm's final
-cell memory is one more) and one combiner op over all T columns.
+time-major: one (d, T) input (a Tensor or an ndarray constant), one
+cells.scan op per cell and one combiner op over all T columns; the final
+state (an lstm's c is one more op) is recorded only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .cells import CellParams, CellState, new_cell_params, scan, zero_state
-from .tensor import ShapeError, Tensor, _emit, _gemvs, _keyed_sum, col, concat, elementwise_mul, stack
+from .tensor import ShapeError, Tensor, _emit, _gemvs, _keyed_sum, col, elementwise_mul, stack
 from .tensor import matmul  # noqa: F401  perfbench's tracer test reads nor.matmul
 
 __all__ = [
@@ -165,7 +167,7 @@ def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
     zero block adds an exact zero, and a column's bits are its own."""
     W, B, xs = w.data, b.data[:, None], [p.data for p in parts]
     ps = [x.reshape(x.shape[0], -1) for x in xs]
-    edges = np.cumsum([0] + [p.shape[0] for p in ps])
+    edges = list(accumulate((p.shape[0] for p in ps), initial=0))
     if not ps or W.shape != (B.shape[0], edges[-1]) or any(p.shape[1:] != ps[0].shape[1:] for p in ps):
         raise ShapeError(f"combiner: weight {W.shape}, bias {b.shape}, parts {[p.shape for p in ps]}")
     blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
@@ -208,23 +210,22 @@ class NorLayer:
         outs, state = unroll(self, [x], state)
         return outs[0], state
 
-    def run(self, x: Tensor, state: list[list[CellState]] | None) -> tuple[Tensor, list]:
-        """The layer over a (d, T) input from state, by default zeros the tape
-        does not record: (hidden, T) outputs, final state."""
+    def run(self, x, state: list[list[CellState]] | None) -> tuple:
+        """The layer over a (d, T) Tensor or ndarray constant from state, by
+        default unrecorded zeros: the (hidden, T) outputs, and a function that
+        records and returns the final state."""
         state = state or [[None] * len(tiers) for tiers in self.cells]
         # tier 1 everywhere first, so shared wiring can see every output;
-        # every subnetwork reads the same input tensor
+        # every subnetwork reads the same input
         runs = [[scan([x], state[i][0], tiers[0])] for i, tiers in enumerate(self.cells)]
         feeds = self.topology.tier2_feeds(x, [r[0][0] for r in runs])
         for i, tiers in enumerate(self.cells):
             if len(tiers) == 2:
                 runs[i].append(scan(feeds[i], state[i][1], tiers[1]))
-        new_state = [[st for _, st in r] for r in runs]
         outs = [r[-1][0] for r in runs]
-        if self.w_mlp is None:
-            return outs[0], new_state
-        merged = self.topology.merge(outs, elementwise_mul)
-        return component_o_combine(merged, self.w_mlp, self.b_mlp), new_state
+        out = outs[0] if self.w_mlp is None else component_o_combine(
+            self.topology.merge(outs, elementwise_mul), self.w_mlp, self.b_mlp)
+        return out, lambda: [[final() for _, final in r] for r in runs]
 
     def named_parameters(self, prefix: str = "layer") -> dict[str, Tensor]:
         """A plain layer names its cell's parameters prefix.w_*/u_*/b_*."""
@@ -240,19 +241,22 @@ class NorLayer:
 
 
 def unroll(layer: NorLayer, inputs: list[Tensor], state: list[list[CellState]] | None = None):
-    """(outputs, final state) of a layer over a sequence from state, by default
+    """(outputs, final state) of a layer over step vectors from state, by default
     zeros the tape does not record: the inputs stacked once, the layer run
     time-major, its output handed back one column per step."""
     if not inputs:
         raise ValueError("cannot unroll over an empty sequence")
-    out, state = layer.run(stack(inputs), state)
-    return [col(out, t) for t in range(len(inputs))], state
+    out, final = layer.run(stack(inputs), state)
+    return [col(out, t) for t in range(len(inputs))], final()
 
 
-def bidirectional_wrap(forward_layer, backward_layer, inputs: list[Tensor]) -> list[Tensor]:
-    """Run one layer left-to-right and an independent one right-to-left,
-    concatenating the two outputs at each position."""
-    fwd, _ = unroll(forward_layer, inputs)
-    bwd_rev, _ = unroll(backward_layer, list(reversed(inputs)))
-    bwd = list(reversed(bwd_rev))
-    return [concat([f, b]) for f, b in zip(fwd, bwd)]
+def bidirectional_wrap(forward_layer, backward_layer, x) -> Tensor:
+    """Run one layer left-to-right and an independent one right-to-left over
+    a (d, T) input, a Tensor (reversed by one op) or an ndarray constant: the
+    (2 hidden, T) matrix whose column t joins the two outputs at step t, one op."""
+    rev = _emit("reverse", x.data[:, ::-1], (x,), lambda g: (g[:, ::-1],)) \
+        if isinstance(x, Tensor) else x[:, ::-1]
+    fwd, bwd = forward_layer.run(x, None)[0], backward_layer.run(rev, None)[0]
+    h = fwd.shape[0]
+    return _emit("join", np.concatenate([fwd.data, bwd.data[:, ::-1]]), (fwd, bwd),
+                 lambda g: (g[:h], g[h:, ::-1]))

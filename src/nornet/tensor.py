@@ -176,9 +176,10 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 # T = 1, makes the same calls.  A zero weight block gives an exact zero
 # product, and block products are added one at a time, so zero blocks move no
 # bit.  These bits depend on the numpy and BLAS build and the thread count.
-# matmul (the heads) and block_matmul add each entry's terms strictly left to
-# right (_mm2), which rests on numpy reducing a leading axis one row at a time,
-# as checked on numpy 2.4.6.  No bitwise claim rests on gradients, so backward
+# matmul (the softmax logits), the CRF emissions and block_matmul add each
+# entry's terms strictly left to right (_mm2), whatever the other columns,
+# which rests on numpy reducing a leading axis one row at a time, as checked
+# on numpy 2.4.6.  No bitwise claim rests on gradients, so backward
 # products use BLAS (numpy @; an inner dimension of 1 stays a * b), and the
 # gradient toward the matrix (a weight) goes to the tape as a factor pair,
 # multiplied out in bulk by Tape.backward.  _lse (the heads' log-partitions)

@@ -87,17 +87,16 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-def apply_dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def apply_dropout(x, rate: float, rng: np.random.Generator):
     """Inverted dropout: zero entries with probability rate and scale the
-    survivors by 1/(1-rate), so the expectation matches the input.  Rate 0
-    is the identity."""
+    survivors by 1/(1-rate), so the expectation matches the input; rate 0 is
+    the identity.  An ndarray is masked in numpy, off the tape."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(np.float64)
-    mask = Tensor(keep * (1.0 / (1.0 - rate)))
-    return elementwise_mul(x, mask)
+    mask = (rng.random(x.shape) >= rate).astype(np.float64) * (1.0 / (1.0 - rate))
+    return x * mask if isinstance(x, np.ndarray) else elementwise_mul(x, Tensor(mask))
 
 
 @dataclass

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nornet.cells import (GATE_NAMES, CellParams, CellState, cell_step, glorot_init,
-                          identity_recurrence_init, new_cell_params,
+                          identity_recurrence_init, new_cell_params, scan,
                           zero_state)
-from nornet.tensor import Tape, Tensor, concat, grad_check, reduce_sum
+from nornet.tensor import Tape, Tensor, concat, elementwise_mul, grad_check, reduce_sum
 
 
 def _sig(x):
@@ -210,3 +210,23 @@ def test_state_does_not_leak_between_steps():
         b = cell_step(Tensor(rng.normal(size=3)), st, p)
         assert not np.array_equal(a.h.data, b.h.data)
         assert np.array_equal(st.h.data, np.zeros(2))
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_NAMES))
+def test_constant_part_is_a_tensor_part_without_its_leaf(kind):
+    # an ndarray part joins the products like a Tensor part, but the tape
+    # records no leaf for it and skips its input gradient
+    rng = np.random.default_rng(61)
+    p = new_cell_params(kind, 5, 3, rng)
+    x = rng.normal(size=(2, 4))
+    y, weights = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+
+    def run(part):
+        with Tape() as tape:
+            seq, _ = scan([part, y], None, p)
+            tape.backward(reduce_sum(elementwise_mul(seq, weights)))
+        grads = [tape.grad(t).tobytes() for t in [*p.named("cell").values(), y]]
+        return seq.data.tobytes(), grads, sum(node.kind == "leaf" for node in tape.nodes)
+
+    out, grads, leaves = run(x)
+    assert run(Tensor(x)) == (out, grads, leaves + 1)

@@ -241,3 +241,32 @@ def test_head_constructors_validate():
         new_softmax_head(4, 1, rng)
     with pytest.raises(ValueError):
         new_crf_head(4, 0, rng)
+
+
+def test_heads_read_a_matrix_as_its_columns():
+    # the matrix ops give the bits of their per-step forms: one emission
+    # column is its one-column product, the pool and both CRF functions see
+    # the same numbers as from a list
+    rng = np.random.default_rng(62)
+    head = _random_crf(4, 5, rng)
+    feats = rng.normal(size=(5, 6))
+    em = head.emission(Tensor(feats))
+    steps = [head.emission(Tensor(f)) for f in feats.T]
+    assert em.data.shape == (4, 6)
+    assert em.data.tobytes() == np.stack([e.data for e in steps], axis=1).tobytes()
+    assert max_pool_over_time(em).data.tobytes() == max_pool_over_time(steps).data.tobytes()
+    tags = [0, 3, 1, 1, 2, 0]
+    assert (crf_neg_log_likelihood(em, tags, head).data.tobytes()
+            == crf_neg_log_likelihood(steps, tags, head).data.tobytes())
+    assert crf_viterbi_decode(em, head) == crf_viterbi_decode(steps, head)
+    with pytest.raises(ShapeError):
+        crf_viterbi_decode(Tensor(np.zeros((3, 6))), head)   # 3 rows, head has 4 tags
+
+
+def test_matrix_emission_gradients():
+    rng = np.random.default_rng(63)
+    head = _random_crf(3, 4, rng)
+    feats = Tensor(rng.normal(size=(4, 5)))
+    report = grad_check(lambda: crf_neg_log_likelihood(head.emission(feats), [0, 2, 1, 1, 0], head),
+                        {**head.named(), "feats": feats})
+    assert report.passed, report.lines()

@@ -1,13 +1,19 @@
+import gc
 import re
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nornet.budget import HeadSpec, LayerSpec, ModelConfig
 from nornet.data import Vocabulary, random_embeddings
+from nornet.heads import crf_neg_log_likelihood, max_pool_over_time, softmax_cross_entropy
 from nornet.models import (SequenceClassifier, SequenceTagger, build_model,
                            load_checkpoint, save_checkpoint)
-from nornet.tensor import Tape
+from nornet.nor import LAYER_KINDS, unroll
+from nornet.tensor import Tape, Tensor, concat
+from nornet.training import apply_dropout
 
 
 def _vocab():
@@ -189,3 +195,109 @@ def test_stacked_layers_feed_forward(tmp_path):
     assert any(n.startswith("layer0.") for n in names)
     assert any(n.startswith("layer1.") for n in names)
     assert model.predict([2, 3]) in (0, 1)
+
+
+# --- the time-major boundary ------------------------------------------------
+
+_TOKENS = [2, 5, 3, 3, 4, 2, 5, 4, 3, 2]
+_BOUNDARY = [(kind, head, bi) for kind in sorted(LAYER_KINDS) for head in ("softmax", "crf")
+             for bi in (False, True)]
+_BOUNDARY_IDS = [f"{kind}-{head}-{'bi' if bi else 'uni'}" for kind, head, bi in _BOUNDARY]
+
+
+def _two_layer(kind, head, bi):
+    cfg = ModelConfig(input_dim=4, layers=(LayerSpec(kind),) * 2, head=HeadSpec(head, 3),
+                      bidirectional=bi, hidden=3)
+    table = random_embeddings(_vocab(), 4, np.random.default_rng(6))
+    return build_model(cfg, table, ["a", "b", "c"], np.random.default_rng(90))
+
+
+def _target(model, tokens):
+    return [t % 3 for t in tokens] if model.head_kind == "crf" else 2
+
+
+def _per_token_loss(model, tokens, target, rng, rate):
+    """The model's training loss composed from the per-step public ops."""
+    xs = [apply_dropout(Tensor(model.embedding[i]), rate, rng) for i in tokens]
+    for stack in model.stacks:
+        if len(stack) == 1:
+            xs = unroll(stack[0], xs)[0]
+        else:
+            fwd = unroll(stack[0], xs)[0]
+            bwd = unroll(stack[1], xs[::-1])[0][::-1]
+            xs = [concat([f, b]) for f, b in zip(fwd, bwd)]
+    if model.head_kind == "crf":
+        return crf_neg_log_likelihood([model.head.emission(h) for h in xs], target, model.head)
+    pooled = apply_dropout(max_pool_over_time(xs), rate, rng)
+    return softmax_cross_entropy(model.head.logits(pooled), target)
+
+
+@pytest.mark.parametrize("kind, head, bi", _BOUNDARY, ids=_BOUNDARY_IDS)
+def test_loss_is_the_per_token_composition(kind, head, bi):
+    # same loss bits and the same random draws; the one-matrix backward
+    # products add in another order, so gradients agree within 1e-12
+    model = _two_layer(kind, head, bi)
+    params = model.named_parameters()
+    tokens = _TOKENS[:6]
+    target = _target(model, tokens)
+
+    def run(loss_of):
+        rng = np.random.default_rng(91)
+        with Tape() as tape:
+            loss = loss_of(rng)
+            tape.backward(loss)
+        return loss.data, {n: tape.grad(p) for n, p in params.items()}, rng.bit_generator.state
+
+    got, grads, state = run(lambda rng: model.loss(tokens, target, rng=rng, dropout=0.5,
+                                                   training=True))
+    want, want_grads, want_state = run(lambda rng: _per_token_loss(model, tokens, target, rng, 0.5))
+    assert got.tobytes() == want.tobytes() and state == want_state
+    for name, g in grads.items():
+        assert np.abs(g - want_grads[name]).max() <= 1e-12 * np.abs(want_grads[name]).max(), name
+
+
+def test_one_mask_draw_is_t_draws_of_d():
+    # a (T, d) ndarray is dropped with one rng.random((T, d)) draw
+    x = np.random.default_rng(92).normal(size=(7, 5))
+    block_rng, rows_rng = np.random.default_rng(93), np.random.default_rng(93)
+    block = apply_dropout(x, 0.3, block_rng)
+    rows = [apply_dropout(Tensor(v), 0.3, rows_rng).data for v in x]
+    assert isinstance(block, np.ndarray) and block.tobytes() == np.stack(rows).tobytes()
+    assert block_rng.bit_generator.state == rows_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind, head, bi", _BOUNDARY, ids=_BOUNDARY_IDS)
+def test_loss_records_the_same_ops_at_any_length(kind, head, bi):
+    # no op or leaf per token: the embedding is off the tape, and no column,
+    # stack, join per step or discarded final state is recorded
+    model = _two_layer(kind, head, bi)
+
+    def ops(steps):
+        tokens = _TOKENS[:steps]
+        with Tape() as tape:
+            model.loss(tokens, _target(model, tokens), rng=np.random.default_rng(93),
+                       dropout=0.5, training=True)
+        return Counter(node.kind for node in tape.nodes)
+
+    short, long = ops(5), ops(10)
+    assert short == long
+    assert not {"col", "stack", "concat", "scan_c"} & set(short)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "parallel"])
+@pytest.mark.parametrize("head", ["softmax", "crf"])
+@pytest.mark.parametrize("bi", [False, True], ids=["uni", "bi"])
+def test_finished_model_tape_is_freed_without_the_cycle_collector(kind, head, bi):
+    # a backward closure that held a tensor would hold its tape in a cycle
+    model = _two_layer(kind, head, bi)
+    tokens = _TOKENS[:6]
+    gc.disable()
+    try:
+        with Tape() as tape:
+            tape.backward(model.loss(tokens, _target(model, tokens), rng=np.random.default_rng(94),
+                                     dropout=0.5, training=True))
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+    finally:
+        gc.enable()

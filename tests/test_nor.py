@@ -10,7 +10,7 @@ from nornet.cells import GATE_NAMES, CellState, cell_step, new_cell_params, zero
 from nornet.nor import (LAYER_KINDS, LayerSpec, NorLayer, bidirectional_wrap,
                         component_o_combine, unroll)
 from nornet.tensor import (Tape, Tensor, add, block_matmul, concat, elementwise_mul, grad_check,
-                           matmul, reduce_sum, relu, sigmoid, sub, tanh)
+                           matmul, reduce_sum, relu, sigmoid, stack, sub, tanh)
 
 
 def _copy_params(dst_layer, src_layer):
@@ -467,18 +467,24 @@ def test_unroll_threads_state_and_rejects_empty():
 
 
 def test_bidirectional_concat_layout():
+    # column t joins both directions' outputs at step t; a taped input is
+    # reversed by one op, a constant one by a view
     rng = np.random.default_rng(47)
     fwd = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
     bwd = NorLayer(LayerSpec("parallel", 2), 4, 3, rng)
     xs = [Tensor(v) for v in np.random.default_rng(48).normal(size=(4, 4))]
-    both = bidirectional_wrap(fwd, bwd, xs)
     f, _ = unroll(fwd, xs)
     b_rev, _ = unroll(bwd, list(reversed(xs)))
     b = list(reversed(b_rev))
-    assert len(both) == 4 and both[0].data.shape == (6,)
-    for t in range(4):
-        want = np.concatenate([f[t].data, b[t].data])
-        assert both[t].data.tobytes() == want.tobytes()
+    for x in (stack(xs), np.stack([v.data for v in xs], axis=1)):
+        with Tape() as tape:
+            both = bidirectional_wrap(fwd, bwd, x)
+        kinds = Counter(node.kind for node in tape.nodes)
+        assert both.data.shape == (6, 4)
+        assert kinds["join"] == 1 and kinds["reverse"] == isinstance(x, Tensor)
+        for t in range(4):
+            want = np.concatenate([f[t].data, b[t].data])
+            assert both.data[:, t].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("topo", [
