@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _emit, _gemvs, _sigmoid, col, stack
+from .tensor import ShapeError, Tensor, _emit, _gemvs, _ranked_sum, _sigmoid, col, stack
 from .tensor import matmul  # noqa: F401  perfbench's tracer test reads cells.matmul
 
 __all__ = [
@@ -202,10 +202,10 @@ def scan(parts: list, state: CellState | None, p: CellParams) -> tuple:
     not record) as one tape op: the (hidden, T) outputs, and a function that
     records the final state (an lstm's c is a second op).  An ndarray part is
     a constant: no leaf, no Wᵀ G.  Each gate's W x_t is a BLAS gemv per part
-    on its column block of W, added in part order, for all t at once
-    (tensor._gemvs); U h is a gemv per gate and step.  A step is the scan at
-    T = 1.  Backward is per-kind backpropagation through time: each gate's W
-    and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ) (gru's U_c:
+    on its column block of W for all t at once (tensor._gemvs), added in rank
+    order (tensor._ranked_sum); U h is a gemv per gate and step.  A step is
+    the scan at T = 1.  Backward is per-kind backpropagation through time:
+    each gate's W and U get factor pairs (G, Xᵀ) and (G, H_prevᵀ) (gru's U_c:
     (r∗H_prev)ᵀ), each taped part its blocks' Wᵀ G added in gate order."""
     ws, us, bs = list(p.w.values()), list(p.u.values()), list(p.b.values())
     taped = [j for j, x in enumerate(parts) if isinstance(x, Tensor)]
@@ -217,7 +217,7 @@ def scan(parts: list, state: CellState | None, p: CellParams) -> tuple:
         raise ShapeError(f"scan of a {p.kind} cell {ws[0].shape} takes (d, T) input parts and "
                          f"its state, got {[X.shape for X in Xs]} and {state}")
     blocks = [[w.data[:, i:j] for i, j in zip(edges, edges[1:])] for w in ws]
-    wx = [_total([_gemvs(blk, X) for blk, X in zip(bl, Xs)]) for bl in blocks]
+    wx = [_ranked_sum([_gemvs(blk, X) for blk, X in zip(bl, Xs)]) for bl in blocks]
     S = np.zeros((1 + (p.kind == "lstm"), len(wx[0]) + 1, p.hidden))   # H (and lstm C), row 0 initial
     for row, s in zip(S, inits):
         row[0] = s.data

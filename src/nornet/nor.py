@@ -40,7 +40,7 @@ from itertools import accumulate
 import numpy as np
 
 from .cells import CellParams, CellState, new_cell_params, scan, zero_state
-from .tensor import ShapeError, Tensor, _emit, _gemvs, _keyed_sum, col, elementwise_mul, stack
+from .tensor import ShapeError, Tensor, _emit, _gemvs, _ranked_sum, col, elementwise_mul, stack
 from .tensor import matmul  # noqa: F401  perfbench's tracer test reads nor.matmul
 
 __all__ = [
@@ -160,19 +160,18 @@ class LayerSpec:
 
 def component_o_combine(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
     """Output component relu(W [s_1; ...; s_m] + b) as one tape op over vector
-    parts or, column by column, parts with one column per step.  Each part's
-    block product is one BLAS gemv per column (tensor._gemvs), and a column's
-    block products are added in an order keyed on their contents (see
-    block_matmul).  So moving a subnetwork with its block of W moves no bit, a
-    zero block adds an exact zero, and a column's bits are its own."""
+    parts or parts with one column per step.  Each part's block product is one
+    BLAS gemv per column (tensor._gemvs), and the block products are added in
+    rank order, entry by entry (tensor._ranked_sum).  So moving a subnetwork
+    with its block of W moves no bit, a zero block adds an exact zero, and a
+    column's bits are its own."""
     W, B, xs = w.data, b.data[:, None], [p.data for p in parts]
     ps = [x.reshape(x.shape[0], -1) for x in xs]
     edges = list(accumulate((p.shape[0] for p in ps), initial=0))
     if not ps or W.shape != (B.shape[0], edges[-1]) or any(p.shape[1:] != ps[0].shape[1:] for p in ps):
         raise ShapeError(f"combiner: weight {W.shape}, bias {b.shape}, parts {[p.shape for p in ps]}")
     blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
-    prods = [_gemvs(blk, p) for blk, p in zip(blocks, ps)]
-    pre = np.stack([_keyed_sum(rows) for rows in zip(*prods)], axis=1) + B
+    pre = _ranked_sum([_gemvs(blk, p) for blk, p in zip(blocks, ps)]).T + B
     mask = pre > 0
 
     def bwd(g):

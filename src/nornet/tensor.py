@@ -6,7 +6,7 @@ backward() walks the node list in reverse.  Tensors created outside a tape
 (parameters, constants) are registered lazily the first time an op touches
 them.  The registration lives in the tape, so the same parameter tensors
 can be reused across many tapes, including tapes on other threads.
-relu, sigmoid, tanh, sub and block_matmul serve only as the tests' reference ops.
+relu, sigmoid, tanh and sub serve only as the tests' reference ops.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "grad_check", "GradCheckReport",
-    "add", "sub", "scale", "elementwise_mul", "matmul", "block_matmul",
+    "add", "sub", "scale", "elementwise_mul", "matmul",
     "relu", "sigmoid", "tanh", "concat", "stack", "col", "reduce_sum",
 ]
 
@@ -173,17 +173,17 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 # np.matmul over a leading column axis (_gemvs), whose slices equal the lone
 # gemvs a @ b[:, j] bit for bit; a 2-D gemm's columns would not.  So a
 # column's bits do not depend on the other columns, and a step, the scan at
-# T = 1, makes the same calls.  A zero weight block gives an exact zero
-# product, and block products are added one at a time, so zero blocks move no
-# bit.  These bits depend on the numpy and BLAS build and the thread count.
-# matmul (the softmax logits), the CRF emissions and block_matmul add each
-# entry's terms strictly left to right (_mm2), whatever the other columns,
-# which rests on numpy reducing a leading axis one row at a time, as checked
-# on numpy 2.4.6.  No bitwise claim rests on gradients, so backward
-# products use BLAS (numpy @; an inner dimension of 1 stays a * b), and the
-# gradient toward the matrix (a weight) goes to the tape as a factor pair,
-# multiplied out in bulk by Tape.backward.  _lse (the heads' log-partitions)
-# and reduce_sum are plain numpy sums.
+# T = 1, makes the same calls.  Block products are added in rank order, entry
+# by entry (_ranked_sum): moving a block moves no bit, nor does a zero block.
+# These bits depend on the numpy and BLAS build and the thread count.
+# matmul (the softmax logits) and the CRF emissions add each entry's terms
+# strictly left to right (_mm2), whatever the other columns, which rests on
+# numpy reducing a leading axis one row at a time, as checked on numpy 2.4.6.
+# No bitwise claim rests on gradients, so backward products use BLAS (numpy
+# @; an inner dimension of 1 stays a * b), and the gradient toward the matrix
+# (a weight) goes to the tape as a factor pair, multiplied out in bulk by
+# Tape.backward.  _lse (the heads' log-partitions) and reduce_sum are plain
+# numpy sums.
 
 
 def _gemvs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -231,25 +231,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", _mm2(A, B2)[:, 0], (a, b), bwd)
 
 
-def _keyed_sum(vectors) -> np.ndarray:
-    """The vectors added in an order keyed on their contents."""
-    vectors = sorted(vectors, key=np.ndarray.tobytes)
-    return sum(vectors[1:], vectors[0])
-
-
-def block_matmul(w: Tensor, parts: Sequence[Tensor]) -> Tensor:
-    """W [p_1; ...; p_m] for vectors p_j: one ordered product per column block
-    of W, the products added in an order keyed on their contents, not their
-    position.  Moving a part together with its column block therefore moves
-    no bit of the result, and a zero block adds an exact zero."""
-    W, xs = w.data, [p.data for p in parts]
-    edges = np.cumsum([0] + [x.size for x in xs])
-    if not xs or W.ndim != 2 or any(x.ndim != 1 for x in xs) or W.shape[1] != edges[-1]:
-        raise ShapeError(f"block_matmul: weight {W.shape}, parts {[x.shape for x in xs]}")
-    blocks = [W[:, i:j] for i, j in zip(edges, edges[1:])]
-    prods = [_mm2(b, x[:, None])[:, 0] for b, x in zip(blocks, xs)]
-    return _emit("block_matmul", _keyed_sum(prods), (w, *parts),
-                 lambda g: ((g[:, None], np.concatenate(xs)[None, :]), *(g @ b for b in blocks)))
+def _ranked_sum(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays, of one shape, ranked entry by entry by an odd-even
+    transposition network and added one at a time, so the sum's bits do not
+    depend on their order.  np.minimum and np.maximum return their second
+    operand on a tie, so min(a, b), max(b, a) keeps one -0.0 and one 0.0."""
+    a = list(arrays)
+    for r in range(len(a)):
+        for i in range(r % 2, len(a) - 1, 2):
+            a[i], a[i + 1] = np.minimum(a[i], a[i + 1]), np.maximum(a[i + 1], a[i])
+    return sum(a[1:], a[0])
 
 
 def _same_shape(a, b, op):

@@ -230,3 +230,23 @@ def test_constant_part_is_a_tensor_part_without_its_leaf(kind):
 
     out, grads, leaves = run(x)
     assert run(Tensor(x)) == (out, grads, leaves + 1)
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_NAMES))
+def test_scan_is_invariant_to_part_order(kind):
+    # moving a part together with its column block of every gate's W moves
+    # no bit of the outputs
+    rng = np.random.default_rng(62)
+    dims = (3, 1, 4, 2)
+    edges = np.cumsum((0,) + dims)
+    p = new_cell_params(kind, sum(dims), 3, rng)
+    parts = [rng.normal(size=(d, 6)) for d in dims]
+    want = scan(parts, None, p)[0].data.tobytes()
+    for perm in [(3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)]:
+        moved = new_cell_params(kind, sum(dims), 3, rng)
+        for g in GATE_NAMES[kind]:
+            cols = [p.w[g].data[:, edges[i]:edges[i + 1]] for i in range(len(dims))]
+            moved.w[g].data[...] = np.concatenate([cols[i] for i in perm], axis=1)
+            moved.u[g].data[...] = p.u[g].data
+            moved.b[g].data[...] = p.b[g].data
+        assert scan([parts[i] for i in perm], None, moved)[0].data.tobytes() == want, perm

@@ -9,7 +9,7 @@ from nornet import budget
 from nornet.cells import GATE_NAMES, CellState, cell_step, new_cell_params, zero_state
 from nornet.nor import (LAYER_KINDS, LayerSpec, NorLayer, bidirectional_wrap,
                         component_o_combine, unroll)
-from nornet.tensor import (Tape, Tensor, add, block_matmul, concat, elementwise_mul, grad_check,
+from nornet.tensor import (Tape, Tensor, add, concat, elementwise_mul, grad_check,
                            matmul, reduce_sum, relu, sigmoid, stack, sub, tanh)
 
 
@@ -183,31 +183,33 @@ def _blocks(m, perm, h):
     (LayerSpec("parallel2", 3), [2, 0, 1]),
     (LayerSpec("mixed", (2, 2)), [1, 0, 3, 2]),
     (LayerSpec("gated", 3), [4, 5, 0, 1, 2, 3]),
-    pytest.param(LayerSpec("shared", 3), [2, 0, 1], marks=pytest.mark.xfail(
-        strict=True, reason="tier 2 multiplies the joined tier-1 outputs in position order")),
+    (LayerSpec("shared", 3), [2, 0, 1]),
 ], ids=["parallel", "parallel2", "mixed", "gated", "shared"])
 def test_subnetwork_order_is_immaterial_bitwise(spec, perm):
+    # eight layers and inputs: at h = 3 a single seed can miss an order rule
+    # that holds for most draws but not all
     h, d = 3, 4
-    a = NorLayer(spec, d, h, np.random.default_rng(39))
-    b = NorLayer(spec, d, h, np.random.default_rng(0))
-    for dst, src in enumerate(perm):
-        for tier, (cb, ca) in enumerate(zip(b.cells[dst], a.cells[src])):
-            for gate in GATE_NAMES[ca.kind]:
-                w = ca.w[gate].data
-                cb.w[gate].data[...] = _blocks(w, perm, h) if tier and spec.wiring == "tier1_all" else w
-                cb.u[gate].data[...] = ca.u[gate].data
-                cb.b[gate].data[...] = ca.b[gate].data
-    merged = [p // 2 for p in perm[0::2]] if spec.kind == "gated" else perm
-    b.w_mlp.data[...] = _blocks(a.w_mlp.data, merged, h)
-    b.b_mlp.data[...] = a.b_mlp.data
+    for seed in range(39, 55, 2):
+        a = NorLayer(spec, d, h, np.random.default_rng(seed))
+        b = NorLayer(spec, d, h, np.random.default_rng(0))
+        for dst, src in enumerate(perm):
+            for tier, (cb, ca) in enumerate(zip(b.cells[dst], a.cells[src])):
+                for gate in GATE_NAMES[ca.kind]:
+                    w = ca.w[gate].data
+                    cb.w[gate].data[...] = _blocks(w, perm, h) if tier and spec.wiring == "tier1_all" else w
+                    cb.u[gate].data[...] = ca.u[gate].data
+                    cb.b[gate].data[...] = ca.b[gate].data
+        merged = [p // 2 for p in perm[0::2]] if spec.kind == "gated" else perm
+        b.w_mlp.data[...] = _blocks(a.w_mlp.data, merged, h)
+        b.b_mlp.data[...] = a.b_mlp.data
 
-    xs = np.random.default_rng(40).normal(size=(8, d))
-    outs_a, _ = unroll(a, [Tensor(x) for x in xs])
-    outs_b, _ = unroll(b, [Tensor(x) for x in xs])
-    # the permuted layer computes the same function; only bits are claimed here
-    for oa, ob in zip(outs_a, outs_b):
-        np.testing.assert_allclose(ob.data, oa.data, rtol=1e-12, atol=1e-14)
-    assert _run_bits(a, xs) == _run_bits(b, xs)
+        xs = np.random.default_rng(seed + 1).normal(size=(8, d))
+        outs_a, _ = unroll(a, [Tensor(x) for x in xs])
+        outs_b, _ = unroll(b, [Tensor(x) for x in xs])
+        # the permuted layer computes the same function; only bits are claimed here
+        for oa, ob in zip(outs_a, outs_b):
+            np.testing.assert_allclose(ob.data, oa.data, rtol=1e-12, atol=1e-14)
+        assert _run_bits(a, xs) == _run_bits(b, xs), seed
 
 
 def test_outputs_are_causal():
@@ -308,7 +310,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector(spec):
 def _reference_unroll(layer, xs):
     """The layer as a step composition of ordered tensor ops: per step and
     cell gate by gate two products, two adds and an activation, then a gru's
-    or an lstm's elementwise state update, and a block-product combiner."""
+    or an lstm's elementwise state update, and the combiner on the joined parts."""
     def aff(p, gate, x, h):
         return add(add(matmul(p.w[gate], x), matmul(p.u[gate], h)), p.b[gate])
 
@@ -334,7 +336,7 @@ def _reference_unroll(layer, xs):
                for i, (st, tiers) in enumerate(zip(tier1, layer.cells))]
         last = [st[-1].h for st in sts]
         outs.append(last[0] if layer.w_mlp is None else relu(add(
-            block_matmul(layer.w_mlp, spec.merge(last, elementwise_mul)), layer.b_mlp)))
+            matmul(layer.w_mlp, concat(spec.merge(last, elementwise_mul))), layer.b_mlp)))
     return outs
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -5,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from nornet.tensor import (ShapeError, Tape, Tensor, _gemvs, _mm2, add, block_matmul, concat,
+from nornet.tensor import (ShapeError, Tape, Tensor, _gemvs, _mm2, _ranked_sum, add, concat,
                            elementwise_mul, grad_check, matmul, reduce_sum, relu,
                            scale, sigmoid, sub, tanh)
 
@@ -112,44 +113,40 @@ def test_stacked_matmul_slices_are_lone_gemvs_bit_for_bit():
                         assert stacked[j, :, 0].tobytes() == lone == got[j].tobytes(), (m, k, n, j)
 
 
-def _blocks(rng, dims, rows=4):
-    return Tensor(rng.normal(size=(rows, sum(dims)))), [Tensor(rng.normal(size=d)) for d in dims]
+def test_minimum_and_maximum_return_their_second_operand_on_a_tie():
+    # _ranked_sum's compare-exchange rests on this numpy rule, as checked on
+    # numpy 2.4.6: min(a, b), max(b, a) swaps a tied pair, so -0.0 and 0.0
+    # keep one copy each
+    pos, neg = np.zeros(3), -np.zeros(3)
+    for x, y in ((pos, neg), (neg, pos)):
+        assert np.minimum(x, y).tobytes() == y.tobytes()
+        assert np.maximum(x, y).tobytes() == y.tobytes()
+        assert np.minimum(x[0], y[0]).tobytes() == y[0].tobytes()
 
 
-def test_block_matmul_zero_block_changes_nothing():
-    rng = np.random.default_rng(5)
-    w, parts = _blocks(rng, (3, 2))
-    wide = Tensor(np.concatenate([w.data[:, :3], np.zeros((4, 4)), w.data[:, 3:]], axis=1))
-    padded = [parts[0], Tensor(rng.normal(size=4)), parts[1]]
-    got = block_matmul(w, parts).data
-    assert got.tobytes() == block_matmul(wide, padded).data.tobytes()
-    np.testing.assert_allclose(got, w.data @ np.concatenate([p.data for p in parts]),
-                               rtol=1e-12, atol=1e-14)
+def test_ranked_sum_of_signed_zeros_is_the_same_in_every_order():
+    # column j of the parts is one tuple over {0.0, -0.0, 2.0, -3.0}, so every
+    # multiset of up to 5 terms comes in every order
+    values = np.array([0.0, -0.0, 2.0, -3.0])
+    for m in range(1, 6):
+        tuples = np.array(list(itertools.product(range(4), repeat=m))).T
+        parts = list(values[tuples])
+        got = _ranked_sum(parts)
+        assert all(_ranked_sum(order).tobytes() == got.tobytes()
+                   for order in itertools.permutations(parts)), m
+        # a column of zeros alone is -0.0 only when every term is
+        zeros = (tuples < 2).all(axis=0)
+        assert np.array_equal(np.signbit(got[zeros]), (tuples[:, zeros] == 1).all(axis=0))
 
 
-def test_block_matmul_is_invariant_to_block_order():
-    # moving a part together with its column block moves no bit
-    rng = np.random.default_rng(6)
-    dims = (3, 1, 4, 2)
-    w, parts = _blocks(rng, dims)
-    edges = np.cumsum((0,) + dims)
-    cols = [w.data[:, edges[i]:edges[i + 1]] for i in range(len(dims))]
-    want = block_matmul(w, parts).data.tobytes()
-    for perm in [(3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)]:
-        moved = Tensor(np.concatenate([cols[i] for i in perm], axis=1))
-        assert block_matmul(moved, [parts[i] for i in perm]).data.tobytes() == want
-
-
-def test_block_matmul_gradcheck_and_shape_errors():
-    rng = np.random.default_rng(7)
-    w, parts = _blocks(rng, (2, 3))
-    report = grad_check(lambda: reduce_sum(tanh(block_matmul(w, parts))),
-                        {"w": w, "p0": parts[0], "p1": parts[1]})
-    assert report.passed, report.lines()
-    for bad_w, bad_parts in [(w, parts[:1]), (w, []), (Tensor(np.zeros(5)), parts),
-                             (w, [parts[0], Tensor(np.zeros((3, 1)))])]:
-        with pytest.raises(ShapeError):
-            block_matmul(bad_w, bad_parts)
+def test_ranked_sum_adds_the_ranked_terms_one_at_a_time():
+    rng = np.random.default_rng(9)
+    for m in range(1, 7):
+        parts = list(rng.normal(size=(m, 20, 30)))
+        ranked = np.sort(np.stack(parts), axis=0)
+        want = sum(ranked[1:], ranked[0]).tobytes()
+        assert all(_ranked_sum(order).tobytes() == want
+                   for order in itertools.permutations(parts)), m
 
 
 def test_matmul_shape_errors():
@@ -191,11 +188,6 @@ def test_weight_used_once_gets_the_exact_outer_product():
     with Tape() as tape:
         tape.backward(_weighted_sum(matmul(w, Tensor(x)), c))
     assert tape.grad(w).tobytes() == np.outer(c, x).tobytes()
-    wb, parts = _blocks(rng, (2, 3))
-    with Tape() as tape:
-        tape.backward(_weighted_sum(block_matmul(wb, parts), c))
-    xs = np.concatenate([p.data for p in parts])
-    assert tape.grad(wb).tobytes() == np.outer(c, xs).tobytes()
 
 
 def test_weight_used_past_the_flush_rank_matches_fsum():
