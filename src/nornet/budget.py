@@ -10,6 +10,8 @@ matrices, so counts and instantiated models cannot drift apart.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,34 +100,18 @@ def count_params(config: ModelConfig, hidden: int | None = None) -> int:
 def solve_hidden_size(config: ModelConfig, budget: int) -> int:
     """Hidden size whose exact count lands nearest the budget.
 
-    The count is strictly increasing in h, so the solver bisects for the
-    first h at or above the budget and compares it with its predecessor,
-    counting each h once; exact ties prefer the smaller h.  A budget below
-    the h=1 count raises BudgetError; any other budget has an answer.
+    The count is strictly increasing in h and, since every layer holds an
+    h x h recurrent matrix, exceeds h^2; so the first h whose count reaches
+    the budget lies in 1..isqrt(budget) + 1.  The solver bisects that range
+    for it, counting each h once, and compares it with its predecessor;
+    exact ties prefer the smaller h.  A budget below the h=1 count raises
+    BudgetError; any other budget has an answer.
     """
-    counts: dict[int, int] = {}
-
-    def count(h: int) -> int:
-        if h not in counts:
-            counts[h] = count_params(config, h)
-        return counts[h]
-
+    count = functools.cache(functools.partial(count_params, config))
     if budget < count(1):
         raise BudgetError(f"budget {budget} below minimum {count(1)} (h=1)")
-    # every layer holds an h x h recurrent matrix, so the count at h exceeds
-    # h^2 and this first bracket holds; doubling covers any case where not
-    lo, hi = 1, math.isqrt(budget) + 1
-    while count(hi) < budget:
-        lo, hi = hi, hi * 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if count(mid) < budget:
-            lo = mid + 1
-        else:
-            hi = mid
-    above = lo
-    candidates = [above] if above == 1 else [above - 1, above]
-    return min(candidates, key=lambda h: (abs(count(h) - budget), h))
+    above = 1 + bisect.bisect_left(range(1, math.isqrt(budget) + 2), budget, key=count)
+    return min(range(max(above - 1, 1), above + 1), key=lambda h: (abs(count(h) - budget), h))
 
 
 def emit_sizing_table() -> str:

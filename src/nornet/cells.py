@@ -119,11 +119,6 @@ def zero_state(kind: str, hidden: int) -> CellState:
     return CellState(Tensor(np.zeros(hidden)), Tensor(np.zeros(hidden)) if kind == "lstm" else None)
 
 
-def _total(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays added one at a time, in list order."""
-    return sum(arrays[1:], arrays[0])
-
-
 def _plain(relu, wx, U, b, h0, H):
     """h' = act((W x + U h) + b) for a relu or a sigmoid cell."""
     (wx,), (U,), (b,) = wx, U, b
@@ -187,7 +182,7 @@ def _lstm(wx, U, b, h0, H, C):
             G[:, t] = (dc * gg * i * (1.0 - i), dc * C[t] * f * (1.0 - f),
                        gh * tc * o * (1.0 - o), dc * i * (1.0 - gg * gg))
             if t or h0:
-                ch, cc = _total([u.T @ G[k, t] for k, u in enumerate(U)]), dc * f
+                ch, cc = sum(u.T @ G[k, t] for k, u in enumerate(U)), dc * f
         return list(G), [H[:-1]] * 4, (ch, cc)
 
     return H[1:], C[-1], back
@@ -228,7 +223,7 @@ def scan(parts: list, state: CellState | None, p: CellParams) -> tuple:
         X = np.concatenate(Xs).T
         grads = (*((G.T, X) for G in Gs), *((G.T, Hin) for G, Hin in zip(Gs, Hins)),
                  *(G.sum(axis=0) for G in Gs),
-                 *(_total([bl[j].T @ G.T for bl, G in zip(blocks, Gs)]) for j in taped))
+                 *(sum(bl[j].T @ G.T for bl, G in zip(blocks, Gs)) for j in taped))
         return grads + carries if h0 else grads
 
     inputs = (*ws, *us, *bs, *(parts[j] for j in taped), *inits)

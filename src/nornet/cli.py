@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .budget import (BudgetError, HeadSpec, ModelConfig, count_params, emit_sizing_table,
-                     solve_hidden_size)
+from .budget import HeadSpec, ModelConfig, count_params, emit_sizing_table, solve_hidden_size
 from .data import (FORMATS, UNK_TOKEN, Corpus, CorpusError, CorpusSplits, Vocabulary,
                    load_classification_corpus, load_conll, load_embeddings, random_embeddings)
 from .models import build_model, load_checkpoint, save_checkpoint
@@ -128,28 +127,17 @@ def _resolve(parser: configparser.ConfigParser, overrides: dict) -> RunSettings:
                           f"{sorted(presets.TOPOLOGY_ALIASES)}")
 
     model = presets.model_config(task, topology)
+    hidden, budget = values["hidden"], values["budget"]
+    if hidden is None and budget is None:
+        budget = presets.default_budgets(task)[0]
+    train_over = {key: values[key] for key in _KEYS["train"] if values[key] is not None}
+    # the configs reject bad values with a ValueError, and so does the solver (BudgetError)
     try:
         if values["embedding_dim"] is not None:
             model = dataclasses.replace(model, input_dim=values["embedding_dim"])
         if values["classes"] is not None:
             model = dataclasses.replace(model, head=HeadSpec(model.head.kind, values["classes"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    hidden, budget = values["hidden"], values["budget"]
-    if hidden is not None and hidden < 1:
-        raise ConfigError(f"hidden must be positive, got {hidden}")
-    if hidden is None:
-        if budget is None:
-            budget = presets.default_budgets(task)[0]
-        try:
-            hidden = solve_hidden_size(model, budget)
-        except BudgetError as exc:
-            raise ConfigError(str(exc)) from exc
-    model = model.with_hidden(hidden)
-
-    train_over = {key: values[key] for key in _KEYS["train"] if values[key] is not None}
-    try:
+        model = model.with_hidden(solve_hidden_size(model, budget) if hidden is None else hidden)
         train_cfg = presets.train_config(task, **train_over)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -374,6 +362,8 @@ def cmd_gradcheck(args) -> int:
     for flag, size in (("input-dim", args.input_dim), ("hidden", args.hidden), ("steps", args.steps)):
         if size < 1:
             raise ConfigError(f"--{flag} must be positive, got {size}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     f, params = _gradcheck_scenario(args.kind, args.input_dim, args.hidden,
                                     args.steps, rng)

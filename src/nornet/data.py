@@ -21,8 +21,7 @@ import numpy as np
 
 __all__ = [
     "FORMATS", "CorpusError", "Vocabulary", "Corpus", "CorpusSplits",
-    "load_classification_corpus", "save_classification_corpus",
-    "load_conll", "save_conll", "to_iob2",
+    "load_classification_corpus", "load_conll", "to_iob2",
     "load_embeddings", "random_embeddings",
     "accuracy", "entity_spans", "entity_f1",
 ]
@@ -168,19 +167,6 @@ def load_classification_corpus(path, fmt: str, lowercase: bool = True,
     return corpus
 
 
-def save_classification_corpus(corpus: Corpus, path, fmt: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ids, label in corpus.examples():
-            text = " ".join(corpus.vocab.tokens[i] for i in ids)
-            name = corpus.names[label]
-            if fmt == "tsv_label_text":
-                fh.write(f"{name}\t{text}\n")
-            elif fmt == "trec_colon":
-                fh.write(f"{name}:x {text}\n")
-            else:
-                raise CorpusError(f"unknown classification format {fmt!r}")
-
-
 def to_iob2(tags: list[str]) -> list[str]:
     """Normalize a tag sequence so every entity starts with B-.
 
@@ -230,14 +216,6 @@ def load_conll(path, vocab: Vocabulary | None = None,
                tag_names: list[str] | None = None) -> Corpus:
     """Load a column-format tagging corpus; tags are normalized to IOB2."""
     return _index(_conll_records(path), path, vocab, tag_names, "tag")
-
-
-def save_conll(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ids, tag_ids in corpus.examples():
-            for tid, gid in zip(ids, tag_ids):
-                fh.write(f"{corpus.vocab.tokens[tid]} {corpus.names[gid]}\n")
-            fh.write("\n")
 
 
 def load_embeddings(path, vocab: Vocabulary, dim: int) -> np.ndarray:

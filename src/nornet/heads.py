@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _bmm, _emit, _lse, _mm2, add, matmul, stack
+from .tensor import ShapeError, Tensor, _emit, _lse, _mm2, add, matmul, stack
 
 __all__ = [
     "SoftmaxHeadParams", "CrfParams", "new_softmax_head", "new_crf_head",
@@ -72,7 +72,7 @@ class CrfParams:
 
         def bwd(g):
             G = g.reshape(len(B), -1)
-            return (G, F2.T), G.sum(axis=1), _bmm(W.T, G).reshape(F.shape)
+            return (G, F2.T), G.sum(axis=1), (W.T @ G).reshape(F.shape)
 
         out = (_mm2(W, F2) + B[:, None]).reshape(B.shape + F.shape[1:])
         return _emit("emission", out, (self.proj_w, self.proj_b, features), bwd)

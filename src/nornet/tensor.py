@@ -123,7 +123,7 @@ class Tape:
         def flush(nid):
             pairs = held.pop(nid, (0, ()))[1]
             if pairs:
-                prod = _bmm(np.hstack([l for l, _ in pairs]), np.vstack([r for _, r in pairs]))
+                prod = np.hstack([l for l, _ in pairs]) @ np.vstack([r for _, r in pairs])
                 if partial[nid] is not None:
                     prod += partial[nid]
                 partial[nid] = prod
@@ -180,10 +180,9 @@ def _emit(kind, out, inputs, bwd) -> Tensor:
 # strictly left to right (_mm2), whatever the other columns, which rests on
 # numpy reducing a leading axis one row at a time, as checked on numpy 2.4.6.
 # No bitwise claim rests on gradients, so backward products use BLAS (numpy
-# @; an inner dimension of 1 stays a * b), and the gradient toward the matrix
-# (a weight) goes to the tape as a factor pair, multiplied out in bulk by
-# Tape.backward.  _lse (the heads' log-partitions) and reduce_sum are plain
-# numpy sums.
+# @), and the gradient toward the matrix (a weight) goes to the tape as a
+# factor pair, multiplied out in bulk by Tape.backward.  _lse (the heads'
+# log-partitions) and reduce_sum are plain numpy sums.
 
 
 def _gemvs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,20 +198,12 @@ def _mm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     contiguous axis, which numpy sums pairwise) and reduced from -0.0, which
     keeps a sum of negative zeros negative.  With m·n == 1 numpy sums
     pairwise anyway, so a dot product keeps the running sum of np.cumsum."""
-    k = a.shape[1]
-    if k == 0:
+    if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[1]))
-    if k == 1:
-        return a * b
     if a.shape[0] * b.shape[1] == 1:
         return np.cumsum(a * b.T, axis=1)[:, -1:]
     prod = np.multiply(a.T[:, :, None], b[:, None, :], order="C")
     return np.add.reduce(prod, axis=0, initial=-0.0)
-
-
-def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m, k) @ (k, n) for gradients: BLAS, or a * b when k == 1."""
-    return a * b if a.shape[1] == 1 else a @ b
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -226,7 +217,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g2 = np.asarray(g).reshape(A.shape[0], 1)
-        return (g2, B2.T), _bmm(A.T, g2).reshape(B.shape)
+        return (g2, B2.T), (A.T @ g2).reshape(B.shape)
 
     return _emit("matmul", _mm2(A, B2)[:, 0], (a, b), bwd)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tape, Tensor, ShapeError, add, elementwise_mul, scale
+from .tensor import Tape, Tensor, ShapeError, _emit, add, scale
 
 __all__ = [
     "TrainConfig", "TrainResult", "AdamState", "NumericError",
@@ -36,8 +36,8 @@ class TrainConfig:
     target_metric: float | None = None  # stop once the dev metric reaches this
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.max_epochs < 1:
@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("lr_decay must lie in (0, 1]")
         if self.pad_length is not None and self.pad_length < 1:
             raise ValueError("pad_length must be positive when set")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and denominator floor
@@ -90,13 +92,16 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 def apply_dropout(x, rate: float, rng: np.random.Generator):
     """Inverted dropout: zero entries with probability rate and scale the
     survivors by 1/(1-rate), so the expectation matches the input; rate 0 is
-    the identity.  An ndarray is masked in numpy, off the tape."""
+    the identity.  An ndarray is masked in numpy, off the tape; a Tensor is
+    masked by one tape op whose only input is x, so the mask is no leaf."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
     if rate == 0.0:
         return x
     mask = (rng.random(x.shape) >= rate).astype(np.float64) * (1.0 / (1.0 - rate))
-    return x * mask if isinstance(x, np.ndarray) else elementwise_mul(x, Tensor(mask))
+    if isinstance(x, np.ndarray):
+        return x * mask
+    return _emit("dropout", x.data * mask, (x,), lambda g: (g * mask,))
 
 
 @dataclass

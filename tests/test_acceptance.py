@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from nornet.budget import HeadSpec, LayerSpec, ModelConfig, count_params, \
     solve_hidden_size

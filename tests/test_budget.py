@@ -5,6 +5,7 @@ from nornet.budget import (BudgetError, HeadSpec, LayerSpec, ModelConfig,
                            count_params, emit_sizing_table, solve_hidden_size)
 from nornet.data import Vocabulary, random_embeddings
 from nornet.models import build_model
+from nornet.nor import LAYER_KINDS
 from nornet.presets import (REFERENCE_SIZES, STANDARD_TOPOLOGIES, TASKS,
                             model_config)
 
@@ -93,6 +94,17 @@ def test_counts_strictly_increase_with_hidden():
         cfg = model_config("trec", topo)
         counts = [count_params(cfg, h) for h in range(1, 30)]
         assert all(b > a for a, b in zip(counts, counts[1:]))
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+def test_count_exceeds_one_recurrent_matrix(kind):
+    # every layer holds an h x h recurrent matrix; the solver's bracket
+    # 1..isqrt(budget) + 1 rests on it
+    for head, classes in (("softmax", 2), ("crf", 1)):
+        for bi in (False, True):
+            cfg = _uni(kind, d=1, classes=classes, head=head, bi=bi, hidden=None)
+            for h in (1, 2, 7, 64, 300):
+                assert count_params(cfg, h) > h * h, (head, bi, h)
 
 
 def test_solver_inverts_count():

@@ -105,7 +105,11 @@ def test_unknown_keys_and_sections_are_config_errors(tmp_path):
                                                  # trec_colon labels sentences, a crf tags tokens
                                                  ("model", "task", "conll"),
                                                  # conll tags tokens, a softmax labels sentences
-                                                 ("data", "format", "conll")])
+                                                 ("data", "format", "conll"),
+                                                 # numpy's generators take no negative seed
+                                                 ("train", "seed", "-1"),
+                                                 ("train", "lr", "nan"),
+                                                 ("train", "lr", "inf")])
 def test_rejected_config_values_are_config_errors(workspace, capsys, section, key, value):
     tmp, config = workspace
     _write_config(config, tmp / "train.txt", **{section: {key: value}})
@@ -379,6 +383,11 @@ def test_readme_commands_parse():
 def test_gradcheck_zero_size_is_a_config_error(kind, flag, capsys):
     assert main(["gradcheck", "--kind", kind, flag, "0"]) == 2
     assert f"{flag} must be positive" in capsys.readouterr().err
+
+
+def test_gradcheck_negative_seed_is_a_config_error(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_sweep_repeated_seed_has_zero_spread(workspace, capsys):

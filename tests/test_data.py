@@ -5,8 +5,7 @@ import pytest
 
 from nornet.data import (PAD_TOKEN, UNK_TOKEN, CorpusError, Vocabulary,
                          accuracy, entity_f1, entity_spans, load_classification_corpus,
-                         load_conll, load_embeddings, random_embeddings,
-                         save_classification_corpus, save_conll, to_iob2)
+                         load_conll, load_embeddings, random_embeddings, to_iob2)
 
 
 def test_vocabulary_reserves_pad_and_unk():
@@ -16,7 +15,7 @@ def test_vocabulary_reserves_pad_and_unk():
     assert v.id("cat") == 2 and v.id("dog") == 1  # unknown maps to unk
 
 
-def test_tsv_corpus_roundtrip(tmp_path):
+def test_tsv_corpus_loader(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("pos\tGood fine movie\nneg\tbad Bad plot\n", encoding="utf-8")
     corpus = load_classification_corpus(path, "tsv_label_text")
@@ -24,11 +23,6 @@ def test_tsv_corpus_roundtrip(tmp_path):
     assert corpus.targets == [0, 1]
     # lowercasing folds Good/good and Bad/bad
     assert corpus.vocab.tokens.count("bad") == 1
-    back = tmp_path / "back.tsv"
-    save_classification_corpus(corpus, back, "tsv_label_text")
-    again = load_classification_corpus(back, "tsv_label_text")
-    assert again.sentences == corpus.sentences
-    assert again.targets == corpus.targets
 
 
 def test_colon_format_keeps_coarse_label(tmp_path):
@@ -37,9 +31,6 @@ def test_colon_format_keeps_coarse_label(tmp_path):
     corpus = load_classification_corpus(path, "trec_colon")
     assert corpus.names == ["LOC", "NUM"]
     assert [corpus.vocab.tokens[i] for i in corpus.sentences[0]] == ["where", "is", "oslo"]
-    back = tmp_path / "back.txt"
-    save_classification_corpus(corpus, back, "trec_colon")
-    assert load_classification_corpus(back, "trec_colon").sentences == corpus.sentences
 
 
 def test_classification_parse_errors_carry_line_numbers(tmp_path):
@@ -96,18 +87,6 @@ def test_conll_loader(tmp_path):
     assert [corpus.names[t] for t in corpus.targets[1]] == ["B-PER", "I-PER"]
     # tagging keeps token case: capitalization is signal for entities
     assert corpus.vocab.tokens[corpus.sentences[0][0]] == "EU"
-
-
-def test_conll_roundtrip(tmp_path):
-    path = tmp_path / "ner.txt"
-    path.write_text("one A B O\ntwo A B B-LOC\n\nthree A B O\n", encoding="utf-8")
-    corpus = load_conll(path)
-    back = tmp_path / "back.txt"
-    save_conll(corpus, back)
-    again = load_conll(back)
-    assert again.sentences == corpus.sentences
-    assert again.targets == corpus.targets
-    assert again.names == corpus.names
 
 
 def test_conll_ragged_rows_error(tmp_path):

@@ -266,6 +266,15 @@ def test_one_mask_draw_is_t_draws_of_d():
     assert block_rng.bit_generator.state == rows_rng.bit_generator.state
 
 
+def test_training_loss_records_no_leaf_but_the_parameters():
+    # the pooled features' dropout mask belongs to its op: no leaf, no gradient
+    model, _ = _classifier()
+    with Tape() as tape:
+        model.loss([2, 3, 4], 0, rng=np.random.default_rng(0), dropout=0.5, training=True)
+    leaves = sorted(node.shape for node in tape.nodes if node.kind == "leaf")
+    assert leaves == sorted(p.shape for p in model.named_parameters().values())
+
+
 @pytest.mark.parametrize("kind, head, bi", _BOUNDARY, ids=_BOUNDARY_IDS)
 def test_loss_records_the_same_ops_at_any_length(kind, head, bi):
     # no op or leaf per token: the embedding is off the tape, and no column,

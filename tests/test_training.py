@@ -213,8 +213,11 @@ def test_metric_log_roundtrips_float64(tmp_path):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        _cfg(lr=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            _cfg(lr=lr)
+    with pytest.raises(ValueError, match="seed"):
+        _cfg(seed=-1)
     with pytest.raises(ValueError):
         _cfg(batch_size=0)
     with pytest.raises(ValueError):
